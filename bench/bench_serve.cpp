@@ -1,6 +1,6 @@
 // Serving-layer benchmark: closed-loop multi-client throughput and latency
-// through the GenerationServer (queue -> micro-batch coalescing ->
-// Ddpm::inpaint -> finish tail), plus an overload phase that drives the
+// through the GenerationServer (queue -> continuous batch -> denoising
+// steps -> finish tail), plus an overload phase that drives the
 // admission-control paths (queue-full rejects, deadline timeouts) so the
 // serve.* counters show up in the run report.
 //
@@ -36,13 +36,15 @@
 // the wide-event request log accounts for 100% of accepted + rejected
 // requests.
 //
-// The open-loop pair is the tail-latency A/B for step-level continuous
-// batching: Poisson arrivals (PP_SERVE_RPS overrides the offered rate) with
-// three mixed sampler classes (short steps 2 / 4 plus rare steps-32 heavies)
-// driving the SAME precomputed workload through both executors.
-// Fixed batching head-of-line-blocks short requests behind long schedules
-// (and cannot coalesce across steps classes at all); continuous batching
-// joins every arrival at the next step boundary, so its p95/p99 collapse.
+// The open-loop pair is the tail-latency A/B for step-boundary joins:
+// Poisson arrivals (PP_SERVE_RPS overrides the offered rate) with three
+// mixed sampler classes (short steps 2 / 4 plus rare steps-32 heavies)
+// driving the SAME precomputed workload through both join policies of the
+// one executor. The "fixed" line is the join-when-idle baseline
+// (ServerConfig::continuous = false): arrivals wait until the running
+// batch drains, so short requests queue behind whole heavy schedules. The
+// "cont" line joins every arrival at the next step boundary, so its
+// p95/p99 collapse. check_bench_json.py gates fixed/cont p95 >= 2x.
 //
 // The model is a tiny untrained sd1 (weights from the init seed): the
 // serving costs measured here — queueing, batching, denoising-step compute,
@@ -184,7 +186,7 @@ struct OpenLoopStats {
   std::vector<double> queue_ms;  ///< server-reported enqueue -> batch join
 };
 
-/// Replays the arrival schedule against one executor flavour. A single
+/// Replays the arrival schedule under one join policy. A single
 /// dispatcher thread sleeps to each Poisson arrival and fires the submit;
 /// latencies are the server's own e2e_ms / wait_ms, so client-side clock
 /// jitter does not pollute the comparison.
@@ -342,14 +344,14 @@ int main() {
                      {"clients", static_cast<double>(clients)},
                      {"requests", static_cast<double>(total)}});
 
-  // Phase 2: open loop, the continuous-batching A/B. The traffic shape is
-  // the one continuous batching exists for: a stream of short interactive
-  // requests (steps 2 / 4, one sample) with an occasional heavy request
-  // (steps 32, four samples) mixed in. Under the fixed executor a short
-  // request that arrives while a heavy batch runs waits for the WHOLE
-  // generation (and cannot even coalesce with neighbours of a different
-  // steps class); under the continuous executor it joins at the next step
-  // boundary and leaves after its own 2-4 steps. The offered rate is
+  // Phase 2: open loop, the join-policy A/B. The traffic shape is the one
+  // step-boundary joins exist for: a stream of short interactive requests
+  // (steps 2 / 4, one sample) with an occasional heavy request (steps 32,
+  // four samples) mixed in. Under the join-when-idle baseline a short
+  // request that arrives while a heavy batch runs waits until that batch
+  // drains (everything queued then joins together, whatever its steps
+  // class); under continuous joins it enters at the next step boundary and
+  // leaves after its own 2-4 steps. The offered rate is
   // calibrated off the short class's solo latency so the server is busy
   // but not saturated (~35% of the one-at-a-time short-class service
   // rate); PP_SERVE_RPS overrides it.
@@ -373,7 +375,8 @@ int main() {
     const double forced = std::atof(env);
     if (forced > 0) offered_rps = forced;
   }
-  const int open_n = scale.full ? 150 : 60;
+  // 1000 arrivals put >= 10 samples beyond the p99 at full scale.
+  const int open_n = scale.full ? 1000 : 200;
   std::printf("=== serve: open-loop Poisson %d requests at %.1f rps, "
               "steps classes {2,4,32} (solo p50 %.1f ms) ===\n",
               open_n, offered_rps, solo_ms);
@@ -395,14 +398,14 @@ int main() {
       }
     }
   }
-  const OpenLoopStats fixed_stats =
+  const OpenLoopStats fixed_stats =  // the join-when-idle baseline
       run_open_loop(registry, arrivals, /*continuous=*/false);
   TelemetryProbe probe;
   const OpenLoopStats cont_stats =
       run_open_loop(registry, arrivals, /*continuous=*/true, &probe);
   emit_open_loop("serve_open_loop_fixed", fixed_stats, offered_rps);
   emit_open_loop("serve_open_loop_cont", cont_stats, offered_rps);
-  std::printf("continuous vs fixed: p95 %.2fx, p99 %.2fx lower\n",
+  std::printf("continuous vs join-when-idle: p95 %.2fx, p99 %.2fx lower\n",
               percentile(fixed_stats.e2e_ms, 0.95) /
                   std::max(percentile(cont_stats.e2e_ms, 0.95), 1e-9),
               percentile(fixed_stats.e2e_ms, 0.99) /

@@ -40,8 +40,12 @@ SERVE_FIELDS = ("rps", "p50_ms", "p95_ms", "p99_ms", "clients", "requests",
                 "health_ok", "ok", "cache_hits", "cache_misses",
                 "hit_bitwise", "hit_expected", "shards_active")
 # Open-loop A/B lines (bench_serve): the full latency evidence must be
-# present on BOTH executor flavours or the comparison is meaningless.
+# present on BOTH join policies or the comparison is meaningless. "fixed"
+# is the join-when-idle baseline, "cont" joins at every step boundary.
 OPEN_LOOP_BENCHES = ("serve_open_loop_fixed", "serve_open_loop_cont")
+# Acceptance floor for step-boundary joins: the baseline's open-loop p95
+# must be at least this many times the continuous policy's.
+OPEN_LOOP_P95_RATIO_MIN = 2.0
 OPEN_LOOP_REQUIRED = {"offered_rps", "rps", "p50_ms", "p95_ms", "p99_ms",
                       "queue_p50_ms", "queue_p95_ms", "queue_p99_ms",
                       "requests"}
@@ -273,6 +277,24 @@ def int8_speedup_errors(docs):
     return errs
 
 
+def open_loop_ratio_errors(docs):
+    """Cross-line perf gate over one bench log: serve_open_loop_fixed.p95_ms
+    must be >= OPEN_LOOP_P95_RATIO_MIN x serve_open_loop_cont.p95_ms. Logs
+    without both open-loop lines pass vacuously, so other benches are
+    unaffected."""
+    p95 = {doc["bench"]: doc["p95_ms"] for doc in docs
+           if doc.get("bench") in OPEN_LOOP_BENCHES
+           and _num(doc.get("p95_ms"))}
+    if len(p95) < len(OPEN_LOOP_BENCHES):
+        return []
+    base, cont = p95["serve_open_loop_fixed"], p95["serve_open_loop_cont"]
+    if cont > 0 and base < OPEN_LOOP_P95_RATIO_MIN * cont:
+        return [f"open-loop p95 join-when-idle {base:.1f} ms is only "
+                f"{base / cont:.2f}x continuous {cont:.1f} ms, need >= "
+                f"{OPEN_LOOP_P95_RATIO_MIN}x"]
+    return []
+
+
 def reqlog_cross_precision_errors(events):
     """Cross-line cache check over one request log: the generation cache is
     keyed on precision, so a cached replay whose request tuple was only
@@ -367,6 +389,7 @@ def check_bench_log(path):
     if lines == 0:
         errs.append(f"{path}: no '{{\"bench\"' summary lines found")
     errs += [f"{path}: {e}" for e in int8_speedup_errors(docs)]
+    errs += [f"{path}: {e}" for e in open_loop_ratio_errors(docs)]
     return errs
 
 
@@ -624,6 +647,14 @@ def selfcheck():
          "isa": "avx512", "precision": "int8"},
     ]
 
+    # Cross-line bench gate: the join-when-idle open-loop p95 must be
+    # >= 2x the continuous one (43.6 / 8.8 ms passes, 43.6 / 30.0 fails).
+    ratio_good = [doc for doc in good_lines
+                  if doc["bench"] in OPEN_LOOP_BENCHES]
+    ratio_bad = [dict(doc, p95_ms=30.0)
+                 if doc["bench"] == "serve_open_loop_cont" else doc
+                 for doc in ratio_good]
+
     failures = []
     if validate_report(good_report):
         failures.append(f"good report rejected: {validate_report(good_report)}")
@@ -652,6 +683,11 @@ def selfcheck():
             f"good int8 speedup rejected: {int8_speedup_errors(gate_good)}")
     if not int8_speedup_errors(gate_bad):
         failures.append("sub-1.5x int8 speedup accepted")
+    if open_loop_ratio_errors(ratio_good):
+        failures.append(f"good open-loop p95 ratio rejected: "
+                        f"{open_loop_ratio_errors(ratio_good)}")
+    if not open_loop_ratio_errors(ratio_bad):
+        failures.append("sub-2x open-loop p95 ratio accepted")
 
     for msg in failures:
         print(f"selfcheck FAIL: {msg}", file=sys.stderr)

@@ -80,6 +80,18 @@ struct WindowWork {
   std::uint64_t finish_base = 0;  ///< finish_samples stream base
 };
 
+/// Model inputs for acquired windows, in order: known {N,1,clip,clip} in
+/// [-1,1], mask {N,1,clip,clip} in {0,1} and each window's generation base.
+/// expand_layout and the serve executor both build model inputs with it.
+struct WindowBatch {
+  nn::Tensor known;
+  nn::Tensor mask;
+  std::vector<std::uint64_t> bases;
+};
+
+/// Stacks a non-empty run of windows into one model call's inputs.
+WindowBatch stack_windows(const std::vector<WindowWork>& works);
+
 class WavefrontExpander {
  public:
   /// Validates via expand_request_problem (throws pp::Error) and builds the
@@ -151,8 +163,8 @@ struct ExpandResult {
 /// Runs a whole expansion in-process. `batch_limit` caps how many windows
 /// feed one Ddpm::inpaint call: 0 = whole waves (wavefront execution),
 /// 1 = strictly sequential (the outpaint_grow wrapper semantics). Both
-/// produce bitwise-identical canvases. `abort`, polled between model
-/// steps, cancels cooperatively (result.aborted = true, empty canvas).
+/// produce bitwise-identical canvases. `abort`, polled before every model
+/// call, cancels cooperatively (result.aborted = true, empty canvas).
 ExpandResult expand_layout(PatternPaint& painter, const Raster& seed,
                            int target_w, int target_h,
                            std::uint64_t request_seed,

@@ -120,7 +120,7 @@ struct GenResponse {
   std::vector<bool> legal;        ///< DRC verdicts (finish only)
   double wait_ms = 0.0;           ///< enqueue -> dequeue
   double e2e_ms = 0.0;            ///< enqueue -> completion
-  int batch_samples = 0;          ///< size of the micro-batch that served it
+  int batch_samples = 0;          ///< peak samples sharing its batch steps
   bool cached = false;            ///< served from the generation cache
                                   ///< (bitwise identical to cold execution)
   // Expansion summary (op "expand" only; is_expand gates the wire field).

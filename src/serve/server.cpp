@@ -4,12 +4,8 @@
 #include <chrono>
 #include <utility>
 
-#include <unordered_map>
-
 #include "common/error.hpp"
-#include "diffusion/convert.hpp"
 #include "expand/expander.hpp"
-#include "diffusion/ddpm.hpp"
 #include "nn/quant.hpp"
 #include "obs/expo.hpp"
 #include "obs/metrics.hpp"
@@ -47,9 +43,7 @@ struct ServeMetrics {
   obs::Counter& cache_hits = obs::metrics().counter("serve.cache.hits");
   obs::Counter& cache_misses = obs::metrics().counter("serve.cache.misses");
   obs::Gauge& queue_depth = obs::metrics().gauge("serve.queue_depth");
-  obs::Histogram& wait_ms = obs::metrics().histogram("serve.wait_ms");
   obs::Histogram& e2e_ms = obs::metrics().histogram("serve.e2e_ms");
-  obs::Histogram& batch_samples = obs::metrics().histogram("serve.batch_samples");
 };
 
 ServeMetrics& serve_metrics() {
@@ -103,15 +97,6 @@ const char* op_name(GenRequest::Op op) {
 /// Serve-side ceiling on one expansion edge: bounds executor occupancy and
 /// response size (the canvas travels as ASCII), far above any clip size.
 constexpr int kMaxExpandEdge = 4096;
-
-/// Resolves a request's precision string (validated at admission) to the
-/// kernel-layer tier; unknown strings cannot reach here, fp32 is the
-/// defensive fallback.
-nn::Precision precision_of(const std::string& name) {
-  nn::Precision p = nn::Precision::kFp32;
-  nn::parse_precision(name, &p);
-  return p;
-}
 
 /// Wide-event outcome taxonomy: every request story ends in exactly one of
 /// ok / rejected (never ran) / timeout / cancelled / error.
@@ -233,24 +218,11 @@ void GenerationServer::start() {
 
 void GenerationServer::shutdown() {
   draining_.store(true);
-  {
-    std::lock_guard<std::mutex> lk(lifecycle_m_);
-    if (!workers_started_ && pending_total_.load() > 0) {
-      // Never ran: start now so queued work still completes (graceful).
-      workers_started_ = true;
-      for (auto& shp : shards_) {
-        Shard* sh = shp.get();
-        sh->worker = std::thread([this, sh] { worker_loop(*sh); });
-      }
-    }
-  }
+  // Never ran: start now so queued work still completes (graceful).
+  if (pending_total_.load() > 0) start();
   for (auto& sh : shards_) sh->cv.notify_all();
   for (auto& sh : shards_)
     if (sh->worker.joinable()) sh->worker.join();
-}
-
-bool GenerationServer::expired(const PendingPtr& p, Clock::time_point now) {
-  return p->has_deadline && now >= p->deadline;
 }
 
 GenerationServer::Shard& GenerationServer::shard_for(
@@ -264,7 +236,7 @@ std::size_t GenerationServer::shard_depth(std::size_t shard) const {
   return sh.queue.size();
 }
 
-std::deque<GenerationServer::PendingPtr>::iterator
+std::deque<PendingPtr>::iterator
 GenerationServer::pop_locked(Shard& sh,
                              std::deque<PendingPtr>::iterator it) {
   auto next = sh.queue.erase(it);
@@ -523,235 +495,13 @@ bool GenerationServer::cancel(std::uint64_t id) {
 }
 
 void GenerationServer::worker_loop(Shard& sh) {
-  if (cfg_.continuous)
-    worker_loop_continuous(sh);
-  else
-    worker_loop_fixed(sh);
-}
-
-void GenerationServer::worker_loop_fixed(Shard& sh) {
-  for (;;) {
-    std::vector<PendingPtr> expired_now;
-    std::vector<PendingPtr> batch;
-    {
-      std::unique_lock<std::mutex> lk(sh.m);
-      sh.cv.wait(lk, [&] {
-        return stop_hard_.load() || draining_.load() || !sh.queue.empty();
-      });
-      if (sh.queue.empty()) {
-        if (draining_.load() || stop_hard_.load()) break;
-        continue;
-      }
-      if (stop_hard_.load()) break;  // destructor flushes the queue
-
-      // Deadline pass: anything already expired completes as "timeout"
-      // without touching the model.
-      const Clock::time_point now = Clock::now();
-      for (auto it = sh.queue.begin(); it != sh.queue.end();) {
-        if (expired(*it, now)) {
-          expired_now.push_back(*it);
-          it = pop_locked(sh, it);
-        } else {
-          ++it;
-        }
-      }
-
-      // Coalesce: the head defines the micro-batch key (registry entry
-      // identity = same preset + checkpoint + clip size + weight
-      // generation, PLUS the sampler schedule — a frozen batch runs every
-      // member in lockstep, so steps/eta must match — PLUS the precision
-      // tier: the forward pass runs one weight table for the whole batch).
-      // Expansions never coalesce: a wavefront's sample count varies wave
-      // to wave, so an expand head runs the executor alone and a queued
-      // expand never rides along in someone else's frozen batch.
-      if (!sh.queue.empty() &&
-          sh.queue.front()->req.op == GenRequest::Op::kExpand) {
-        batch.push_back(sh.queue.front());
-        pop_locked(sh, sh.queue.begin());
-        sh.inflight = batch;
-      } else if (!sh.queue.empty()) {
-        const PendingPtr& head = sh.queue.front();
-        const ModelRegistry::Entry* key = head->entry.get();
-        const int key_steps = head->req.steps;
-        const double key_eta = head->req.eta;
-        const std::string& key_precision = head->req.precision;
-        int samples = 0;
-        for (auto it = sh.queue.begin(); it != sh.queue.end();) {
-          const PendingPtr& p = *it;
-          bool fits = batch.empty() ||
-                      samples + p->req.count <= cfg_.max_batch_samples;
-          if (p->req.op != GenRequest::Op::kExpand &&
-              p->entry.get() == key && p->req.steps == key_steps &&
-              p->req.eta == key_eta && p->req.precision == key_precision &&
-              fits) {
-            samples += p->req.count;
-            batch.push_back(p);
-            it = pop_locked(sh, it);
-            if (samples >= cfg_.max_batch_samples) break;
-          } else {
-            ++it;
-          }
-        }
-        sh.inflight = batch;
-      }
-    }
-
-    for (const PendingPtr& p : expired_now)
-      finish_response(p, GenResponse::fail(p->req.id, ErrorCode::kTimeout,
-                                           "deadline expired in queue"));
-    if (!batch.empty()) {
-      execute_batch(sh, batch);
-      std::lock_guard<std::mutex> lk(sh.m);
-      sh.inflight.clear();
-    }
-  }
-}
-
-void GenerationServer::worker_loop_continuous(Shard& sh) {
-  ServeMetrics& m = serve_metrics();
-
-  // One running request inside the continuous batch. `mid` namespaces its
-  // sample tags (tag = mid * kTagStride + sample index), `remaining` counts
-  // samples still inside the InpaintState, `raws` collects finished samples
-  // at their request-order position the moment each one's schedule ends.
-  // Expansion state for one expand member: the wavefront engine plus the
-  // windows currently inside the InpaintState, keyed by the per-window
-  // sequence number that namespaces their tags (tag = mid * kTagStride +
-  // seq). The member stays resident across steps, feeding ready windows
-  // into the running batch and committing them as their samples finish.
-  struct ExpandRun {
-    std::unique_ptr<expand::WavefrontExpander> ex;
-    std::unordered_map<std::uint64_t, expand::WindowWork> inflight;
-    std::uint64_t next_seq = 0;
-    bool failed = false;      ///< feed/commit raised; drain then fail
-    std::string fail_msg;
-  };
-  struct Member {
-    PendingPtr p;
-    std::uint64_t mid = 0;
-    int remaining = 0;  ///< samples (expand: windows) still in the state
-    int peak_batch = 0;  ///< max co-resident samples while this request ran
-    std::vector<Raster> raws;
-    std::vector<std::uint64_t> finish_bases;
-    std::unique_ptr<ExpandRun> xp;  ///< non-null = expand member
-  };
-  constexpr std::uint64_t kTagStride = 1ull << 32;
-
-  ModelRegistry::EntryPtr entry;  ///< the running batch's registry entry
-  std::string batch_precision;    ///< fixed by the first joiner: the step's
-                                  ///< forward pass runs ONE weight tier, so
-                                  ///< unlike steps/eta (per-sample schedule)
-                                  ///< precision is a batch property
-  InpaintState st;
-  std::vector<Member> members;
-  std::uint64_t next_mid = 0;
-
-  auto drop_inflight = [&](const PendingPtr& p) {
-    std::lock_guard<std::mutex> lk(sh.m);
-    sh.inflight.erase(
-        std::remove(sh.inflight.begin(), sh.inflight.end(), p),
-        sh.inflight.end());
-  };
-  auto member_tags = [](std::uint64_t mid, int count) {
-    std::vector<std::uint64_t> tags;
-    tags.reserve(static_cast<std::size_t>(count));
-    for (int k = 0; k < count; ++k)
-      tags.push_back(mid * kTagStride + static_cast<std::uint64_t>(k));
-    return tags;
-  };
-  // Abandon the whole running batch (internal error / hard stop): every
-  // member completes with `code` — cancelled/expired members keep their own
-  // verdict — and the state resets.
-  auto fail_all = [&](ErrorCode code, const std::string& msg) {
-    for (Member& mem : members) {
-      drop_inflight(mem.p);
-      ErrorCode c = code;
-      if (mem.p->cancelled.load())
-        c = ErrorCode::kCancelled;
-      else if (expired(mem.p, Clock::now()))
-        c = ErrorCode::kTimeout;
-      finish_response(mem.p, GenResponse::fail(mem.p->req.id, c, msg));
-    }
-    members.clear();
-    st = InpaintState();
-    entry.reset();
-  };
-  // Finish tail + response for a member whose every sample completed.
-  auto complete_member = [&](Member& mem) {
-    const PendingPtr& p = mem.p;
-    sh.served.fetch_add(1);
-    if (p->cancelled.load()) {
-      finish_response(p, GenResponse::fail(p->req.id, ErrorCode::kCancelled,
-                                           "cancelled while executing"));
-      return;
-    }
-    GenResponse resp;
-    resp.id = p->req.id;
-    resp.wait_ms = p->wait_ms_snapshot;
-    resp.batch_samples = mem.peak_batch;
-    if (mem.xp) {
-      if (mem.xp->failed) {
-        finish_response(p, GenResponse::fail(p->req.id, ErrorCode::kInternal,
-                                             mem.xp->fail_msg));
-        return;
-      }
-      const expand::ExpandStats stats = mem.xp->ex->stats();
-      resp.is_expand = true;
-      resp.target_w = p->req.target_w;
-      resp.target_h = p->req.target_h;
-      resp.expand_windows = stats.windows_total;
-      resp.expand_waves = stats.waves;
-      resp.expand_seam_violations = stats.seam_violations;
-      resp.expand_drc_pass_rate = stats.drc_pass_rate();
-      try {
-        resp.patterns.push_back(mem.xp->ex->take_canvas());
-      } catch (const std::exception& e) {
-        finish_response(
-            p, GenResponse::fail(p->req.id, ErrorCode::kInternal, e.what()));
-        return;
-      }
-      resp.legal.push_back(stats.drc_checked == stats.drc_clean);
-      p->expand_windows = stats.windows_total;
-      p->expand_waves = stats.waves;
-      finish_response(p, std::move(resp));
-      return;
-    }
-    if (p->req.finish) {
-      const int clip = entry->cfg.clip_size;
-      const Raster tmpl = p->req.op == GenRequest::Op::kInpaint
-                              ? p->req.tmpl
-                              : Raster(clip, clip, 0);
-      std::vector<Raster> tmpls(mem.raws.size(), tmpl);
-      std::vector<GenerationRecord> recs;
-      try {
-        const nn::ScopedPrecision guard(precision_of(p->req.precision));
-        recs = entry->pp->finish_samples(mem.raws, tmpls, mem.finish_bases);
-      } catch (const std::exception& e) {
-        finish_response(
-            p, GenResponse::fail(p->req.id, ErrorCode::kInternal, e.what()));
-        return;
-      }
-      for (const GenerationRecord& rec : recs) {
-        resp.patterns.push_back(rec.denoised);
-        resp.legal.push_back(rec.legal);
-      }
-    } else {
-      resp.patterns = mem.raws;
-    }
-    finish_response(p, std::move(resp));
-  };
-
+  ContinuousBatch batch(cfg_.max_batch_samples, batch_counters_);
   for (;;) {
     std::vector<PendingPtr> expired_now;
     std::vector<PendingPtr> joined;
     {
       std::unique_lock<std::mutex> lk(sh.m);
-      if (members.empty()) {
-        entry.reset();
-        // Also drop the drained InpaintState: compact() keeps the clip
-        // shape (h_/w_) after the last member completes, and a stale shape
-        // would fail every join for a model with a different clip size.
-        st = InpaintState();
+      if (batch.empty()) {
         sh.cv.wait(lk, [&] {
           return stop_hard_.load() || draining_.load() || !sh.queue.empty();
         });
@@ -766,7 +516,7 @@ void GenerationServer::worker_loop_continuous(Shard& sh) {
       // without touching the model.
       const Clock::time_point now = Clock::now();
       for (auto it = sh.queue.begin(); it != sh.queue.end();) {
-        if (expired(*it, now)) {
+        if (expired(**it, now)) {
           expired_now.push_back(*it);
           it = pop_locked(sh, it);
         } else {
@@ -774,37 +524,24 @@ void GenerationServer::worker_loop_continuous(Shard& sh) {
         }
       }
 
-      // Join pass (the step boundary): when idle, the first queued request
-      // fixes the batch's registry entry AND precision tier; every queued
-      // compatible request then joins until the sample cap. steps/eta need
-      // NOT match — the sampler schedule is per-sample state, not a batch
-      // property — but precision MUST: the whole step is one forward pass
-      // through one weight table.
-      // Fairness: once the queue head waits on a DIFFERENT entry (or
-      // precision) than the running batch, stop admitting new joins so the
-      // batch drains and the head gets served — otherwise sustained
-      // compatible traffic starves mismatched requests unboundedly.
-      const bool head_blocked =
-          !members.empty() && !sh.queue.empty() &&
-          (sh.queue.front()->entry.get() != entry.get() ||
-           sh.queue.front()->req.precision != batch_precision);
-      if (!stop_hard_.load() && !head_blocked) {
-        int active = st.active();
+      // Join pass (the step boundary): an idle batch takes the queue head's
+      // entry and precision, then every queued compatible request joins
+      // until the sample cap. Under "join when idle" (continuous = false)
+      // only an empty batch admits joins. Fairness: once the queue head
+      // waits on a different entry or precision, no joins are admitted, so
+      // the batch drains and the head gets served.
+      if (!sh.queue.empty() && !stop_hard_.load() &&
+          (cfg_.continuous || batch.empty()) &&
+          !batch.blocked_by(*sh.queue.front())) {
+        batch.open(*sh.queue.front());
+        int planned = batch.active();
         for (auto it = sh.queue.begin(); it != sh.queue.end();) {
-          const PendingPtr& p = *it;
-          if (!entry) {
-            entry = p->entry;
-            batch_precision = p->req.precision;
-          }
-          const bool fits =
-              active == 0 || active + p->req.count <= cfg_.max_batch_samples;
-          if (p->entry.get() == entry.get() &&
-              p->req.precision == batch_precision && fits) {
-            active += p->req.count;
-            joined.push_back(p);
-            sh.inflight.push_back(p);
+          if (batch.accepts(**it, planned)) {
+            planned += (*it)->req.count;
+            joined.push_back(*it);
+            sh.inflight.push_back(*it);
             it = pop_locked(sh, it);
-            if (active >= cfg_.max_batch_samples) break;
+            if (planned >= cfg_.max_batch_samples) break;
           } else {
             ++it;
           }
@@ -817,561 +554,36 @@ void GenerationServer::worker_loop_continuous(Shard& sh) {
                                            "deadline expired in queue"));
 
     if (stop_hard_.load()) {
-      for (const PendingPtr& p : joined) {
-        drop_inflight(p);
-        finish_response(p, GenResponse::fail(p->req.id, ErrorCode::kDraining,
-                                             "server stopped"));
-      }
-      if (!members.empty())
-        fail_all(ErrorCode::kDraining, "batch abandoned mid-flight");
+      std::vector<Completion> dropped;
+      for (const PendingPtr& p : joined)
+        dropped.emplace_back(p, GenResponse::fail(p->req.id,
+                                                  ErrorCode::kDraining,
+                                                  "server stopped"));
+      deliver(sh, std::move(dropped));
+      deliver(sh, batch.abandon(ErrorCode::kDraining,
+                                "batch abandoned mid-flight"));
       break;
     }
 
-    // Execute the joins: derive each request's stream bases per the
-    // sequential reference semantics (Rng(seed) -> count gen bases, then
-    // count finish bases; serve/protocol.hpp), assemble its planes and
-    // extend the running state. Per-sample noise is a pure function of
-    // (base, step index), so joining late cannot shift anyone's bits.
-    if (!joined.empty()) {
-      const Clock::time_point now = Clock::now();
-      const nn::ScopedPrecision prec_guard(precision_of(batch_precision));
-      const int clip = entry->cfg.clip_size;
-      const std::size_t plane = static_cast<std::size_t>(clip) * clip;
-      const bool was_running = !members.empty();
-      int joined_samples = 0;
-      for (const PendingPtr& p : joined) {
-        p->wait_ms_snapshot = ms_between(p->enqueue, now);
-        m.wait_ms.observe(p->wait_ms_snapshot);
-        p->exec_start = now;
-        p->started = true;
-        p->joined_running = !members.empty();
-        if (p->req.op == GenRequest::Op::kExpand) {
-          // An expansion holds a Member slot but contributes no samples at
-          // creation: the feed pass below streams its wavefront windows
-          // into the state at step boundaries, interleaved with ordinary
-          // traffic, so a long expansion never freezes the batch.
-          Member mem;
-          mem.p = p;
-          mem.mid = next_mid++;
-          mem.xp = std::make_unique<ExpandRun>();
-          expand::ExpandConfig ecfg;
-          ecfg.sampler =
-              SamplerParams{p->req.steps, static_cast<float>(p->req.eta)};
-          ecfg.denoise_windows = p->req.finish;
-          try {
-            mem.xp->ex = std::make_unique<expand::WavefrontExpander>(
-                *entry->pp, p->req.tmpl, p->req.target_w, p->req.target_h,
-                p->req.seed, ecfg);
-          } catch (const std::exception& e) {
-            drop_inflight(p);
-            finish_response(p, GenResponse::fail(p->req.id,
-                                                 ErrorCode::kInternal,
-                                                 e.what()));
-            continue;
-          }
-          members.push_back(std::move(mem));
-          continue;
-        }
-        const int count = p->req.count;
-        Member mem;
-        mem.p = p;
-        mem.mid = next_mid++;
-        mem.remaining = count;
-        mem.raws.resize(static_cast<std::size_t>(count));
-        mem.finish_bases.resize(static_cast<std::size_t>(count));
-        Rng rng(p->req.seed);
-        std::vector<std::uint64_t> gen_bases(static_cast<std::size_t>(count));
-        for (auto& b : gen_bases) b = rng.draw_seed();
-        for (auto& b : mem.finish_bases) b = rng.draw_seed();
-
-        nn::Tensor known({count, 1, clip, clip});
-        nn::Tensor mask({count, 1, clip, clip});
-        nn::Tensor kt, mt;
-        if (p->req.op == GenRequest::Op::kInpaint) {
-          kt = raster_to_tensor(p->req.tmpl);
-          mt = mask_to_tensor(p->req.mask);
-        } else {
-          kt = nn::Tensor::full({1, 1, clip, clip}, -1.0f);  // empty layout
-          mt = nn::Tensor::full({1, 1, clip, clip}, 1.0f);   // regenerate all
-        }
-        for (int k = 0; k < count; ++k) {
-          std::copy_n(kt.data(), plane,
-                      known.data() + static_cast<std::size_t>(k) * plane);
-          std::copy_n(mt.data(), plane,
-                      mask.data() + static_cast<std::size_t>(k) * plane);
-        }
-        try {
-          entry->pp->model().join(
-              st, known, mask, gen_bases, member_tags(mem.mid, count),
-              SamplerParams{p->req.steps, static_cast<float>(p->req.eta)});
-        } catch (const std::exception& e) {
-          drop_inflight(p);
-          finish_response(
-              p, GenResponse::fail(p->req.id, ErrorCode::kInternal, e.what()));
-          continue;
-        }
-        if (!members.empty()) {  // joined a batch that already had samples
-          joins_.fetch_add(static_cast<std::uint64_t>(count));
-          m.joins.add(static_cast<std::uint64_t>(count));
-        }
-        joined_samples += count;
-        members.push_back(std::move(mem));
-      }
-      if (joined_samples > 0) {
-        if (!was_running) {
-          batches_.fetch_add(1);
-          m.batches.add(1);
-        }
-        batched_samples_.fetch_add(static_cast<std::uint64_t>(joined_samples));
-        m.samples.add(static_cast<std::uint64_t>(joined_samples));
-        m.batch_samples.observe(static_cast<double>(st.active()));
-        if (members.size() > 1)
-          m.coalesced.add(static_cast<std::uint64_t>(joined.size()));
-      }
-    }
-
-    // Leave pass: cancelled or deadline-expired members exit NOW, at the
-    // step boundary, instead of holding their rows to the end — the
-    // remaining latents re-pack and everyone else's bits are untouched.
-    if (!members.empty()) {
-      const Clock::time_point now = Clock::now();
-      std::vector<std::uint64_t> leave_tags;
-      for (auto it = members.begin(); it != members.end();) {
-        Member& mem = *it;
-        const bool cancel = mem.p->cancelled.load();
-        const bool late = !cancel && expired(mem.p, now);
-        if (!cancel && !late) {
-          ++it;
-          continue;
-        }
-        std::vector<std::uint64_t> tags;
-        if (mem.xp) {
-          // Expand tags are the in-flight window sequence numbers, not
-          // 0..count-1; the un-fed remainder of the plan simply never runs
-          // and the partial canvas is dropped (no cache insert — the
-          // response is a failure).
-          tags.reserve(mem.xp->inflight.size());
-          for (const auto& kv : mem.xp->inflight)
-            tags.push_back(mem.mid * kTagStride + kv.first);
-        } else {
-          tags = member_tags(mem.mid, mem.p->req.count);
-        }
-        leave_tags.insert(leave_tags.end(), tags.begin(), tags.end());
-        leaves_.fetch_add(static_cast<std::uint64_t>(mem.remaining));
-        m.leaves.add(static_cast<std::uint64_t>(mem.remaining));
-        drop_inflight(mem.p);
-        finish_response(
-            mem.p,
-            cancel ? GenResponse::fail(mem.p->req.id, ErrorCode::kCancelled,
-                                       "cancelled while executing")
-                   : GenResponse::fail(mem.p->req.id, ErrorCode::kTimeout,
-                                       "deadline expired mid-batch"));
-        it = members.erase(it);
-      }
-      if (!leave_tags.empty()) {
-        entry->pp->model().leave(st, leave_tags);
-        if (!st.empty()) {
-          repacks_.fetch_add(1);
-          m.repacks.add(1);
-        }
-      }
-    }
-    if (members.empty()) {
-      st = InpaintState();
-      entry.reset();
-      continue;
-    }
-
-    // Feed pass: every expansion member streams the ready windows of its
-    // current wave into the running batch, up to the spare sample budget.
-    // head_blocked does NOT gate this — an admitted expansion is bounded
-    // work that must drain for the mismatched head to ever run. When the
-    // batch is otherwise idle the budget is at least 1, so an expansion
-    // always makes progress.
-    for (Member& mem : members) {
-      if (!mem.xp || mem.xp->failed) continue;
-      ExpandRun& xp = *mem.xp;
-      int budget = cfg_.max_batch_samples - st.active();
-      if (st.active() == 0) budget = std::max(budget, 1);
-      if (budget <= 0) continue;
-      std::vector<expand::WindowWork> works;
-      try {
-        works = xp.ex->acquire(budget);
-      } catch (const std::exception& e) {
-        xp.failed = true;
-        xp.fail_msg = e.what();
-        continue;
-      }
-      if (works.empty()) continue;
-      const int clip = entry->cfg.clip_size;
-      const std::size_t plane = static_cast<std::size_t>(clip) * clip;
-      const int n = static_cast<int>(works.size());
-      nn::Tensor known({n, 1, clip, clip});
-      nn::Tensor mask({n, 1, clip, clip});
-      std::vector<std::uint64_t> bases, tags;
-      bases.reserve(works.size());
-      tags.reserve(works.size());
-      std::vector<std::uint64_t> seqs;
-      seqs.reserve(works.size());
-      for (int k = 0; k < n; ++k) {
-        nn::Tensor kt = raster_to_tensor(works[static_cast<std::size_t>(k)].known);
-        nn::Tensor mt = mask_to_tensor(works[static_cast<std::size_t>(k)].mask);
-        std::copy_n(kt.data(), plane,
-                    known.data() + static_cast<std::size_t>(k) * plane);
-        std::copy_n(mt.data(), plane,
-                    mask.data() + static_cast<std::size_t>(k) * plane);
-        bases.push_back(works[static_cast<std::size_t>(k)].gen_base);
-        tags.push_back(mem.mid * kTagStride + xp.next_seq);
-        seqs.push_back(xp.next_seq);
-        ++xp.next_seq;
-      }
-      try {
-        const nn::ScopedPrecision guard(precision_of(batch_precision));
-        entry->pp->model().join(
-            st, known, mask, bases, tags,
-            SamplerParams{mem.p->req.steps,
-                          static_cast<float>(mem.p->req.eta)});
-      } catch (const std::exception& e) {
-        // join validates before touching the state, so nothing entered;
-        // the expansion drains its earlier windows and then fails.
-        xp.failed = true;
-        xp.fail_msg = e.what();
-        continue;
-      }
-      for (int k = 0; k < n; ++k)
-        xp.inflight.emplace(seqs[static_cast<std::size_t>(k)],
-                            std::move(works[static_cast<std::size_t>(k)]));
-      mem.remaining += n;
-      batched_samples_.fetch_add(static_cast<std::uint64_t>(n));
-      m.samples.add(static_cast<std::uint64_t>(n));
-      m.batch_samples.observe(static_cast<double>(st.active()));
-      if (members.size() > 1) {
-        joins_.fetch_add(static_cast<std::uint64_t>(n));
-        m.joins.add(static_cast<std::uint64_t>(n));
-      }
-    }
-
-    // One denoising step for every active sample; completed samples come
-    // back composited and the state re-packs underneath them. A zero-
-    // active state (expansions that just finished feeding or failed) skips
-    // straight to completion.
-    const int cur = st.active();
-    std::vector<FinishedSample> done;
-    if (cur > 0) {
-      for (Member& mem : members)
-        mem.peak_batch = std::max(mem.peak_batch, cur);
-      try {
-        PP_TRACE_SPAN("serve.step_batch");
-        // Flow points emitted INSIDE the open step-batch span bind the
-        // request's flow chain to this slice in the chrome export.
-        for (Member& mem : members) {
-          ++mem.p->step_batches;
-          if (mem.p->trace_start_ns != 0)
-            obs::record_flow_point("serve.step", mem.p->req.id);
-        }
-        const nn::ScopedPrecision prec_guard(precision_of(batch_precision));
-        done = entry->pp->model().step(st);
-      } catch (const std::exception& e) {
-        fail_all(ErrorCode::kInternal, e.what());
-        continue;
-      }
-    }
-    if (!done.empty() && !st.empty()) {
-      repacks_.fetch_add(1);
-      m.repacks.add(1);
-    }
-
-    // Route finished samples home; a member whose last sample just landed
-    // responds immediately — it does not wait for the batch to drain.
-    for (const FinishedSample& f : done) {
-      const std::uint64_t mid = f.tag / kTagStride;
-      const std::uint64_t k = f.tag % kTagStride;
-      for (Member& mem : members) {
-        if (mem.mid != mid) continue;
-        if (mem.xp) {
-          auto w = mem.xp->inflight.find(k);
-          if (w != mem.xp->inflight.end()) {
-            try {
-              // The commit's window denoise (finish_samples) runs under the
-              // batch precision, same as the generation that produced it.
-              const nn::ScopedPrecision guard(
-                  precision_of(batch_precision));
-              mem.xp->ex->commit(w->second, tensor_to_rasters(f.x)[0]);
-            } catch (const std::exception& e) {
-              mem.xp->failed = true;
-              mem.xp->fail_msg = e.what();
-            }
-            mem.xp->inflight.erase(w);
-            --mem.remaining;
-          }
-        } else {
-          mem.raws[static_cast<std::size_t>(k)] = tensor_to_rasters(f.x)[0];
-          --mem.remaining;
-        }
-        break;
-      }
-    }
-    for (auto it = members.begin(); it != members.end();) {
-      // Ordinary members complete when every sample landed; an expansion
-      // completes when nothing is in flight AND the wavefront is exhausted
-      // (or it failed and has now drained).
-      const bool member_done =
-          it->xp ? (it->remaining == 0 &&
-                    (it->xp->failed || it->xp->ex->done()))
-                 : it->remaining == 0;
-      if (!member_done) {
-        ++it;
-        continue;
-      }
-      complete_member(*it);
-      drop_inflight(it->p);
-      it = members.erase(it);
-    }
+    deliver(sh, batch.join(joined, Clock::now()));
+    deliver(sh, batch.leave_dead(Clock::now()));
+    if (batch.empty()) continue;
+    batch.feed_expansions();
+    deliver(sh, batch.step());
   }
 }
 
-void GenerationServer::execute_batch(Shard& sh,
-                                     std::vector<PendingPtr>& batch) {
-  if (batch.front()->req.op == GenRequest::Op::kExpand) {
-    execute_expand(sh, batch.front());
-    return;
+void GenerationServer::deliver(Shard& sh, std::vector<Completion> done) {
+  if (done.empty()) return;
+  {
+    std::lock_guard<std::mutex> lk(sh.m);
+    for (const Completion& c : done)
+      sh.inflight.erase(
+          std::remove(sh.inflight.begin(), sh.inflight.end(), c.first),
+          sh.inflight.end());
   }
-  PP_TRACE_SPAN("serve.batch");
-  ServeMetrics& m = serve_metrics();
-  const Clock::time_point exec_start = Clock::now();
-  const ModelRegistry::EntryPtr entry = batch.front()->entry;
-  // Coalescing keyed on precision, so the batch is tier-homogeneous: pin
-  // the head's precision for the whole execution (inpaint + finish tail).
-  const nn::ScopedPrecision prec_guard(
-      precision_of(batch.front()->req.precision));
-  const int clip = entry->cfg.clip_size;
-  const std::size_t plane = static_cast<std::size_t>(clip) * clip;
-
-  sh.served.fetch_add(batch.size());
-  int total = 0;
-  for (const PendingPtr& p : batch) total += p->req.count;
-  batches_.fetch_add(1);
-  batched_samples_.fetch_add(static_cast<std::uint64_t>(total));
-  m.batches.add(1);
-  m.samples.add(static_cast<std::uint64_t>(total));
-  m.batch_samples.observe(static_cast<double>(total));
-  if (batch.size() > 1) m.coalesced.add(batch.size());
-  for (const PendingPtr& p : batch) {
-    p->wait_ms_snapshot = ms_between(p->enqueue, exec_start);
-    m.wait_ms.observe(p->wait_ms_snapshot);
-    p->exec_start = exec_start;
-    p->started = true;
-    p->joined_running = batch.size() > 1;
-    // The frozen batch runs the whole schedule as one unit: one step-batch
-    // participation per request in the wide-event log.
-    p->step_batches = 1;
-    if (p->trace_start_ns != 0)
-      obs::record_flow_point("serve.step", p->req.id);
-  }
-
-  // Per-request RNG stream bases, exactly the sequential reference
-  // semantics: Rng(seed) yields `count` inpaint bases then `count` finish
-  // bases (see serve/protocol.hpp). Pure per request, so batch composition
-  // cannot shift anyone's streams.
-  std::vector<std::uint64_t> gen_bases;
-  gen_bases.reserve(static_cast<std::size_t>(total));
-  std::vector<std::vector<std::uint64_t>> finish_bases(batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    Rng rng(batch[i]->req.seed);
-    for (int k = 0; k < batch[i]->req.count; ++k)
-      gen_bases.push_back(rng.draw_seed());
-    finish_bases[i].resize(static_cast<std::size_t>(batch[i]->req.count));
-    for (auto& b : finish_bases[i]) b = rng.draw_seed();
-  }
-
-  // Assemble the micro-batch tensors: each request contributes `count`
-  // copies of its own (known, mask) planes.
-  nn::Tensor known({total, 1, clip, clip});
-  nn::Tensor mask({total, 1, clip, clip});
-  int cursor = 0;
-  for (const PendingPtr& p : batch) {
-    nn::Tensor kt, mt;
-    if (p->req.op == GenRequest::Op::kInpaint) {
-      kt = raster_to_tensor(p->req.tmpl);
-      mt = mask_to_tensor(p->req.mask);
-    } else {
-      kt = nn::Tensor::full({1, 1, clip, clip}, -1.0f);  // empty layout
-      mt = nn::Tensor::full({1, 1, clip, clip}, 1.0f);   // regenerate all
-    }
-    for (int k = 0; k < p->req.count; ++k, ++cursor) {
-      std::copy_n(kt.data(), plane,
-                  known.data() + static_cast<std::size_t>(cursor) * plane);
-      std::copy_n(mt.data(), plane,
-                  mask.data() + static_cast<std::size_t>(cursor) * plane);
-    }
-  }
-
-  // Cooperative cancellation: abandon the batch between denoising steps
-  // once nobody is left wanting the result.
-  auto abort = [this, &batch] {
-    if (stop_hard_.load()) return true;
-    const Clock::time_point now = Clock::now();
-    for (const PendingPtr& p : batch)
-      if (!p->cancelled.load() && !expired(p, now)) return false;
-    return true;
-  };
-
-  const SamplerParams sampler{batch.front()->req.steps,
-                              static_cast<float>(batch.front()->req.eta)};
-  nn::Tensor out;
-  try {
-    out = entry->pp->model().inpaint(known, mask, gen_bases, sampler, abort);
-  } catch (const std::exception& e) {
-    for (const PendingPtr& p : batch)
-      finish_response(p, GenResponse::fail(p->req.id, ErrorCode::kInternal,
-                                           e.what()));
-    return;
-  }
-  if (out.numel() == 0) {  // aborted mid-flight
-    for (const PendingPtr& p : batch) {
-      ErrorCode code =
-          p->cancelled.load() ? ErrorCode::kCancelled : ErrorCode::kTimeout;
-      if (stop_hard_.load() && !p->cancelled.load() &&
-          !expired(p, Clock::now()))
-        code = ErrorCode::kDraining;
-      finish_response(p, GenResponse::fail(p->req.id, code,
-                                           "batch abandoned mid-flight"));
-    }
-    return;
-  }
-  std::vector<Raster> raws = tensor_to_rasters(out);
-
-  // Finish tail (template denoise + DRC), batched across every member that
-  // asked for it. finish_samples is per-sample pure, so one flat call is
-  // bitwise the same as per-request calls.
-  std::vector<Raster> fin_raws, fin_tmpls;
-  std::vector<std::uint64_t> fin_bases;
-  std::vector<std::size_t> fin_offset(batch.size(), 0);
-  cursor = 0;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const PendingPtr& p = batch[i];
-    if (p->req.finish) {
-      fin_offset[i] = fin_raws.size();
-      const Raster tmpl = p->req.op == GenRequest::Op::kInpaint
-                              ? p->req.tmpl
-                              : Raster(clip, clip, 0);
-      for (int k = 0; k < p->req.count; ++k) {
-        fin_raws.push_back(raws[static_cast<std::size_t>(cursor + k)]);
-        fin_tmpls.push_back(tmpl);
-      }
-      fin_bases.insert(fin_bases.end(), finish_bases[i].begin(),
-                       finish_bases[i].end());
-    }
-    cursor += p->req.count;
-  }
-  std::vector<GenerationRecord> finished;
-  if (!fin_raws.empty()) {
-    try {
-      finished = entry->pp->finish_samples(fin_raws, fin_tmpls, fin_bases);
-    } catch (const std::exception& e) {
-      for (const PendingPtr& p : batch)
-        finish_response(p, GenResponse::fail(p->req.id, ErrorCode::kInternal,
-                                             e.what()));
-      return;
-    }
-  }
-
-  cursor = 0;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const PendingPtr& p = batch[i];
-    if (p->cancelled.load()) {
-      finish_response(p, GenResponse::fail(p->req.id, ErrorCode::kCancelled,
-                                           "cancelled while executing"));
-      cursor += p->req.count;
-      continue;
-    }
-    GenResponse resp;
-    resp.id = p->req.id;
-    resp.wait_ms = p->wait_ms_snapshot;
-    resp.batch_samples = total;
-    if (p->req.finish) {
-      for (int k = 0; k < p->req.count; ++k) {
-        const GenerationRecord& rec =
-            finished[fin_offset[i] + static_cast<std::size_t>(k)];
-        resp.patterns.push_back(rec.denoised);
-        resp.legal.push_back(rec.legal);
-      }
-    } else {
-      for (int k = 0; k < p->req.count; ++k)
-        resp.patterns.push_back(raws[static_cast<std::size_t>(cursor + k)]);
-    }
-    cursor += p->req.count;
-    finish_response(p, std::move(resp));
-  }
-}
-
-void GenerationServer::execute_expand(Shard& sh, const PendingPtr& p) {
-  PP_TRACE_SPAN("serve.expand");
-  ServeMetrics& m = serve_metrics();
-  const Clock::time_point exec_start = Clock::now();
-  const ModelRegistry::EntryPtr entry = p->entry;
-  const nn::ScopedPrecision prec_guard(precision_of(p->req.precision));
-
-  sh.served.fetch_add(1);
-  batches_.fetch_add(1);
-  m.batches.add(1);
-  p->wait_ms_snapshot = ms_between(p->enqueue, exec_start);
-  m.wait_ms.observe(p->wait_ms_snapshot);
-  p->exec_start = exec_start;
-  p->started = true;
-  p->step_batches = 1;
-  if (p->trace_start_ns != 0) obs::record_flow_point("serve.step", p->req.id);
-
-  expand::ExpandConfig ecfg;
-  ecfg.sampler =
-      SamplerParams{p->req.steps, static_cast<float>(p->req.eta)};
-  ecfg.denoise_windows = p->req.finish;
-  // Cooperative cancellation between model calls, same verdicts as
-  // execute_batch's abort path.
-  auto abort = [this, &p] {
-    return stop_hard_.load() || p->cancelled.load() ||
-           expired(p, Clock::now());
-  };
-  expand::ExpandResult res;
-  try {
-    res = expand::expand_layout(*entry->pp, p->req.tmpl, p->req.target_w,
-                                p->req.target_h, p->req.seed, ecfg,
-                                /*batch_limit=*/cfg_.max_batch_samples, abort);
-  } catch (const std::exception& e) {
-    finish_response(
-        p, GenResponse::fail(p->req.id, ErrorCode::kInternal, e.what()));
-    return;
-  }
-  if (res.aborted) {
-    ErrorCode code =
-        p->cancelled.load() ? ErrorCode::kCancelled : ErrorCode::kTimeout;
-    if (stop_hard_.load() && !p->cancelled.load() && !expired(p, Clock::now()))
-      code = ErrorCode::kDraining;
-    finish_response(p, GenResponse::fail(p->req.id, code,
-                                         "expansion abandoned mid-flight"));
-    return;
-  }
-  batched_samples_.fetch_add(
-      static_cast<std::uint64_t>(res.stats.windows_generated));
-  m.samples.add(static_cast<std::uint64_t>(res.stats.windows_generated));
-
-  GenResponse resp;
-  resp.id = p->req.id;
-  resp.wait_ms = p->wait_ms_snapshot;
-  resp.batch_samples =
-      std::min(cfg_.max_batch_samples, res.stats.windows_total);
-  resp.is_expand = true;
-  resp.target_w = p->req.target_w;
-  resp.target_h = p->req.target_h;
-  resp.expand_windows = res.stats.windows_total;
-  resp.expand_waves = res.stats.waves;
-  resp.expand_seam_violations = res.stats.seam_violations;
-  resp.expand_drc_pass_rate = res.stats.drc_pass_rate();
-  resp.patterns.push_back(std::move(res.canvas));
-  resp.legal.push_back(res.stats.drc_checked == res.stats.drc_clean);
-  p->expand_windows = res.stats.windows_total;
-  p->expand_waves = res.stats.waves;
-  finish_response(p, std::move(resp));
+  sh.served.fetch_add(done.size());
+  for (Completion& c : done) finish_response(c.first, std::move(c.second));
 }
 
 obs::Json GenerationServer::stats_json() const {
@@ -1381,16 +593,15 @@ obs::Json GenerationServer::stats_json() const {
   o.set("timeouts", obs::Json(timeouts_.load()));
   o.set("cancelled", obs::Json(cancelled_.load()));
   o.set("completed", obs::Json(completed_.load()));
-  o.set("batches", obs::Json(batches_.load()));
-  o.set("batched_samples", obs::Json(batched_samples_.load()));
-  o.set("joins", obs::Json(joins_.load()));
-  o.set("leaves", obs::Json(leaves_.load()));
-  o.set("repacks", obs::Json(repacks_.load()));
+  o.set("batches", obs::Json(batch_counters_.batches.load()));
+  o.set("batched_samples", obs::Json(batch_counters_.samples.load()));
+  o.set("joins", obs::Json(batch_counters_.joins.load()));
+  o.set("leaves", obs::Json(batch_counters_.leaves.load()));
+  o.set("repacks", obs::Json(batch_counters_.repacks.load()));
   o.set("queue_depth", obs::Json(queue_depth()));
   o.set("accepting", obs::Json(accepting()));
   o.set("max_queue", obs::Json(cfg_.max_queue));
   o.set("max_batch_samples", obs::Json(cfg_.max_batch_samples));
-  o.set("continuous", obs::Json(cfg_.continuous));
   o.set("shards", obs::Json(shards_.size()));
   obs::Json shard_arr = obs::Json::array();
   for (std::size_t i = 0; i < shards_.size(); ++i) {

@@ -5,31 +5,23 @@
 // reject-with-reason when full or draining) that is SHARDED across N
 // executor threads. Each registry entry has a stable shard affinity
 // (Entry::route, assigned round-robin at load), so all traffic for one
-// model lands on one executor and continuous-batch coalescing stays
-// effective; the admission bound (max_queue) is GLOBAL across shards, so
-// capacity behaves identically at any shard count. Each executor serves
-// its shard with STEP-LEVEL CONTINUOUS BATCHING (LLM-serving style): it
-// keeps one running batch of per-sample denoising state (Ddpm::InpaintState)
-// for one registry entry — same preset + checkpoint + clip + weight
-// generation, by pointer identity, so weights can never mix across
-// hot-swap generations. At every denoising-step boundary, queued requests
-// for the same entry JOIN the running batch (up to max_batch_samples),
-// cancelled or deadline-expired samples LEAVE immediately, samples whose
-// per-request schedule (`steps`/`eta` knobs) completes are delivered the
-// moment their last step runs, and the latent tensor RE-PACKS. A late
-// request therefore waits one step, not one whole generation.
+// model lands on one executor and batching stays effective; the admission
+// bound (max_queue) is GLOBAL across shards, so capacity behaves
+// identically at any shard count. Each executor serves its shard with
+// STEP-LEVEL CONTINUOUS BATCHING through one ContinuousBatch
+// (serve/batch.hpp): at every denoising-step boundary queued requests for
+// the running entry JOIN (up to max_batch_samples), cancelled or expired
+// samples LEAVE, finished requests are delivered at once and the latents
+// RE-PACK, so a late request waits one step, not one whole generation. The
+// executor loop itself owns only the shard queue, the deadline pass,
+// in-flight bookkeeping and delivery.
 //
-// Determinism: every sample's noise is a pure function of its own RNG
-// stream base (derived from the request seed) and its own step index, and
-// the UNet conditions on a per-sample timestep, so ANY interleaving of
-// joins/leaves produces output bitwise identical to sequential
-// one-request-at-a-time execution (see serve/protocol.hpp, "Determinism
-// contract"); batching is purely a latency/throughput decision. The same
-// property powers the GENERATION CACHE (serve/cache.hpp): with
-// cache_entries > 0, admission consults a content-addressed LRU keyed by
-// (model generation, op, seed, count, finish, steps, eta, template hash,
-// mask hash) and serves hits inline — bitwise identical to cold execution,
-// bypassing the executor entirely.
+// Batching never changes a sample's bits (serve/protocol.hpp,
+// "Determinism contract"), which also powers the GENERATION CACHE
+// (serve/cache.hpp): with cache_entries > 0, admission consults a
+// content-addressed LRU keyed by (model generation, op, seed, count,
+// finish, steps, eta, template hash, mask hash) and serves hits inline —
+// bitwise identical to cold execution, bypassing the executor entirely.
 //
 // Deadlines are enforced both in the queue and mid-flight (expired samples
 // complete with "timeout"); cancellation takes effect at the next step
@@ -38,9 +30,9 @@
 // abandons in-flight work at the next step boundary and fails queued
 // requests with "draining".
 //
-// ServerConfig::continuous = false selects the legacy fixed-batch
-// executor (micro-batch frozen at dequeue, runs to completion), kept so
-// bench_serve can A/B the tail-latency win on identical workloads.
+// ServerConfig::continuous = false is the "join when idle" policy: queued
+// requests join only a batch that has drained, so bench_serve can A/B the
+// tail-latency win of step-boundary joins on identical workloads.
 #pragma once
 
 #include <atomic>
@@ -57,6 +49,7 @@
 #include <vector>
 
 #include "obs/rolling.hpp"
+#include "serve/batch.hpp"
 #include "serve/cache.hpp"
 #include "serve/protocol.hpp"
 #include "serve/registry.hpp"
@@ -78,12 +71,12 @@ struct ServerConfig {
   /// Generation-cache capacity in responses; 0 disables the cache. Hits
   /// are served at admission, bitwise identical to cold execution.
   std::size_t cache_entries = 0;
-  /// Step-level continuous batching (the default): each executor keeps ONE
-  /// running batch, new same-entry requests join at the next denoising-step
-  /// boundary, finished/cancelled/expired samples leave immediately and the
-  /// latent tensor re-packs between steps. false = the legacy fixed-batch
-  /// executor (batch frozen at dequeue, runs to completion) — kept for A/B
-  /// latency benchmarking in bench_serve.
+  /// Join policy of the running batch. true (the default): new same-entry
+  /// requests join at the next denoising-step boundary. false: "join when
+  /// idle" — requests join only while the batch is empty, the A/B baseline
+  /// bench_serve measures step-boundary joins against. Leaves, re-packs and
+  /// per-request completion work the same under both; outputs are bitwise
+  /// identical either way.
   bool continuous = true;
   /// Wide-event request log (one NDJSON line per finished/rejected
   /// request). Defaults honor PP_REQLOG / PP_REQLOG_ROTATE_BYTES; an empty
@@ -123,10 +116,9 @@ class GenerationServer {
   std::future<GenResponse> submit(GenRequest req);
 
   /// Cancels a request by id. Queued: removed and completed with
-  /// "cancelled" immediately. In-flight: flagged; the executor abandons the
-  /// batch at the next denoising step once every member is cancelled or
-  /// expired, and the response carries "cancelled" either way. Returns
-  /// false when the id is not pending.
+  /// "cancelled" immediately. In-flight: flagged; the request leaves the
+  /// running batch at the next denoising-step boundary and the response
+  /// carries "cancelled". Returns false when the id is not pending.
   bool cancel(std::uint64_t id);
 
   bool accepting() const { return !draining_.load(); }
@@ -161,28 +153,6 @@ class GenerationServer {
   const RequestLog& request_log() const { return reqlog_; }
 
  private:
-  struct Pending {
-    GenRequest req;
-    std::function<void(GenResponse)> done;
-    ModelRegistry::EntryPtr entry;
-    std::string cache_key;  ///< non-empty = insert the response on success
-    std::chrono::steady_clock::time_point enqueue;
-    std::chrono::steady_clock::time_point deadline;  ///< valid iff has_deadline
-    bool has_deadline = false;
-    double wait_ms_snapshot = 0.0;  ///< enqueue -> batch pop (executor only)
-    std::atomic<bool> cancelled{false};
-    // Request-scoped telemetry (written by admission / the executor, read
-    // at completion on the same thread that last wrote them).
-    std::uint64_t trace_start_ns = 0;  ///< trace-epoch submit time (0 = off)
-    std::chrono::steady_clock::time_point exec_start;  ///< first join/pop
-    bool started = false;       ///< exec_start is valid
-    int step_batches = 0;       ///< denoising step-batches participated in
-    bool joined_running = false;  ///< joined a batch that was already going
-    int expand_windows = 0;     ///< expand only: windows committed
-    int expand_waves = 0;       ///< expand only: waves completed
-  };
-  using PendingPtr = std::shared_ptr<Pending>;
-
   /// One executor shard: its queue slice, in-flight set, worker thread and
   /// depth gauge. Guarded by its own mutex so shards never contend.
   struct Shard {
@@ -192,20 +162,16 @@ class GenerationServer {
     std::vector<PendingPtr> inflight;
     std::thread worker;
     obs::Gauge* depth = nullptr;  ///< serve.shard.<i>.depth
-    std::atomic<std::uint64_t> served{0};  ///< requests this shard completed
+    std::atomic<std::uint64_t> served{0};  ///< requests its executor delivered
   };
 
   Shard& shard_for(const ModelRegistry::Entry* entry);
+  /// The executor: queue, deadline pass and join pass under the shard
+  /// lock, then one step of the shard's ContinuousBatch (see class comment).
   void worker_loop(Shard& sh);
-  /// Legacy fixed-batch executor: batch frozen at dequeue (coalescing key =
-  /// registry entry + sampler schedule), runs every step to completion.
-  void worker_loop_fixed(Shard& sh);
-  /// Step-level continuous-batching executor (see class comment).
-  void worker_loop_continuous(Shard& sh);
-  void execute_batch(Shard& sh, std::vector<PendingPtr>& batch);
-  /// Fixed-executor expansion path: one request, whole waves per model
-  /// call (never coalesced — its sample count varies wave to wave).
-  void execute_expand(Shard& sh, const PendingPtr& p);
+  /// Drops completed requests from the shard's in-flight set, then
+  /// responds to each.
+  void deliver(Shard& sh, std::vector<Completion> done);
   void finish_response(const PendingPtr& p, GenResponse resp);
   /// One wide-event line for an admission reject (accepted requests log
   /// from finish_response).
@@ -215,8 +181,6 @@ class GenerationServer {
   /// Returns the iterator after the erased element.
   std::deque<PendingPtr>::iterator pop_locked(
       Shard& sh, std::deque<PendingPtr>::iterator it);
-  static bool expired(const PendingPtr& p,
-                      std::chrono::steady_clock::time_point now);
 
   std::shared_ptr<ModelRegistry> registry_;
   ServerConfig cfg_;
@@ -237,8 +201,8 @@ class GenerationServer {
   // registry as serve.* counters/histograms and the "serve" report
   // section).
   std::atomic<std::uint64_t> accepted_{0}, rejected_{0}, timeouts_{0},
-      cancelled_{0}, completed_{0}, batches_{0}, batched_samples_{0},
-      joins_{0}, leaves_{0}, repacks_{0}, cache_hits_{0}, cache_misses_{0};
+      cancelled_{0}, completed_{0}, cache_hits_{0}, cache_misses_{0};
+  BatchCounters batch_counters_;  ///< shared by every shard's batch
 
   // Live telemetry plane: rolling windows baseline at THIS instance's
   // construction (the underlying serve.* metrics are process-global), the

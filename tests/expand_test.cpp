@@ -2,7 +2,7 @@
 // and its dependency edges, the disjoint-commit determinism contract
 // (wavefront == sequential == outpaint_grow, bitwise), seam-aware window
 // DRC idempotence, bounded-memory band streaming, and the serve-side
-// `expand` request type (admission validation, both executors bitwise
+// `expand` request type (admission validation, both join policies bitwise
 // against the in-process engine, cancellation without a cache insert).
 #include <algorithm>
 #include <chrono>
@@ -261,6 +261,8 @@ TEST(Expander, StreamedBandsReassembleTheSnapshotCanvas) {
 // ---------------------------------------------------------------------------
 // Serve integration
 
+// The serve executor under both join policies (step-boundary joins and
+// join-when-idle) must reproduce the in-process engine's canvas bitwise.
 TEST(ServeExpand, BothExecutorsMatchTheInProcessEngineBitwise) {
   auto registry = tiny_registry();
   PatternPaint& pp = *registry->get("t")->pp;
@@ -278,7 +280,7 @@ TEST(ServeExpand, BothExecutorsMatchTheInProcessEngineBitwise) {
     ASSERT_TRUE(resp.ok()) << resp.message;
     ASSERT_EQ(resp.patterns.size(), 1u);
     EXPECT_TRUE(resp.patterns[0] == ref.canvas)
-        << "executor continuous=" << continuous
+        << "join policy continuous=" << continuous
         << " diverged from the in-process engine";
     EXPECT_TRUE(resp.is_expand);
     EXPECT_EQ(resp.target_w, 32);

@@ -20,10 +20,12 @@
 #include "common/error.hpp"
 #include "core/config.hpp"
 #include "diffusion/convert.hpp"
+#include "expand/expander.hpp"
 #include "nn/quant.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "serve/batch.hpp"
 #include "serve/cache.hpp"
 #include "serve/protocol.hpp"
 #include "serve/registry.hpp"
@@ -1011,6 +1013,223 @@ TEST(Serve, TransportStructuredErrors) {
   EXPECT_EQ(codes[1], "invalid_config");   // failed validate()
   EXPECT_EQ(codes[2], "unknown_model");
   EXPECT_EQ(codes[3], "bad_request");      // unknown op
+}
+
+// "Join when idle" (continuous = false): a request submitted while a batch
+// runs waits for that batch to drain instead of joining it, and still
+// matches its sequential reference bitwise.
+TEST(Serve, JoinWhenIdleNeverJoinsARunningBatch) {
+  const std::string path = ::testing::TempDir() + "serve_idle_reqlog.ndjson";
+  std::remove(path.c_str());
+  auto registry = tiny_registry();
+  ModelRegistry::EntryPtr entry = registry->get("t");
+  ServerConfig cfg;
+  cfg.continuous = false;
+  cfg.request_log.path = path;
+  GenerationServer server(registry, cfg);
+
+  GenRequest long_req = sample_req(1, 77, 4);
+  long_req.steps = 40;
+  auto f_long = server.submit(long_req);
+  server.start();
+  wait_until_inflight(server);
+  GenRequest late = sample_req(2, 88, 1);
+  late.steps = 4;
+  auto f_late = server.submit(late);
+
+  GenResponse r_late = f_late.get();
+  GenResponse r_long = f_long.get();
+  server.shutdown();
+  ASSERT_TRUE(r_long.ok()) << r_long.message;
+  ASSERT_TRUE(r_late.ok()) << r_late.message;
+  EXPECT_EQ(sequential_reference(entry, long_req), r_long.patterns);
+  EXPECT_EQ(sequential_reference(entry, late), r_late.patterns);
+  EXPECT_EQ(r_late.batch_samples, 1);  // never shared a step with the 4
+  const obs::Json stats = server.stats_json();
+  EXPECT_EQ(stats.find("joins")->as_number(), 0.0);
+  EXPECT_EQ(stats.find("batches")->as_number(), 2.0);
+  std::vector<obs::Json> lines = read_reqlog(path);
+  ASSERT_EQ(lines.size(), 2u);
+  for (const obs::Json& j : lines)
+    EXPECT_FALSE(j.find("joined_running")->as_bool())
+        << "request " << j.find("id")->as_number();
+  std::remove(path.c_str());
+}
+
+// An expansion opens its batch with no samples; its windows arrive through
+// the feed pass. That batch must still be counted.
+TEST(Serve, LoneExpandCountsOneBatch) {
+  auto registry = tiny_registry();
+  GenerationServer server(registry);
+  server.start();
+  GenRequest req;
+  req.id = 1;
+  req.op = GenRequest::Op::kExpand;
+  req.model = "t";
+  req.seed = 5;
+  req.target_w = 32;
+  req.target_h = 24;
+  GenResponse resp = server.submit(std::move(req)).get();
+  server.shutdown();
+  ASSERT_TRUE(resp.ok()) << resp.message;
+  const obs::Json stats = server.stats_json();
+  EXPECT_EQ(stats.find("batches")->as_number(), 1.0);
+  EXPECT_GT(stats.find("batched_samples")->as_number(), 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// ContinuousBatch driven directly: no server, no threads, no locks.
+
+PendingPtr pending_for(const ModelRegistry::EntryPtr& entry, GenRequest req) {
+  auto p = std::make_shared<Pending>();
+  p->req = std::move(req);
+  p->entry = entry;
+  p->enqueue = std::chrono::steady_clock::now();
+  return p;
+}
+
+/// One join pass the way the server runs it: open on the first request,
+/// then join every request the batch accepts.
+std::vector<Completion> join_all(ContinuousBatch& batch,
+                                 const std::vector<PendingPtr>& reqs) {
+  batch.open(*reqs.front());
+  int planned = batch.active();
+  for (const PendingPtr& p : reqs) {
+    EXPECT_TRUE(batch.accepts(*p, planned)) << "request " << p->req.id;
+    planned += p->req.count;
+  }
+  return batch.join(reqs, std::chrono::steady_clock::now());
+}
+
+/// Steps until the batch drains, collecting responses by request id.
+std::map<std::uint64_t, GenResponse> run_to_drain(ContinuousBatch& batch) {
+  std::map<std::uint64_t, GenResponse> out;
+  while (!batch.empty()) {
+    batch.feed_expansions();
+    for (Completion& c : batch.step()) out[c.first->req.id] = c.second;
+  }
+  return out;
+}
+
+TEST(ContinuousBatch, LateJoinLandsAtAStepBoundaryBitwise) {
+  auto registry = tiny_registry();
+  ModelRegistry::EntryPtr entry = registry->get("t");
+  BatchCounters counters;
+  ContinuousBatch batch(16, counters);
+
+  GenRequest long_req = sample_req(1, 77, 3);
+  long_req.steps = 12;
+  EXPECT_TRUE(join_all(batch, {pending_for(entry, long_req)}).empty());
+  for (int s = 0; s < 3; ++s) EXPECT_TRUE(batch.step().empty());
+
+  GenRequest late = sample_req(2, 88, 2);
+  late.steps = 4;
+  PendingPtr p_late = pending_for(entry, late);
+  ASSERT_FALSE(batch.blocked_by(*p_late));
+  EXPECT_TRUE(join_all(batch, {p_late}).empty());
+  EXPECT_EQ(batch.active(), 5);
+  EXPECT_TRUE(p_late->joined_running);
+
+  std::map<std::uint64_t, GenResponse> got = run_to_drain(batch);
+  ASSERT_TRUE(got[1].ok()) << got[1].message;
+  ASSERT_TRUE(got[2].ok()) << got[2].message;
+  EXPECT_EQ(sequential_reference(entry, long_req), got[1].patterns);
+  EXPECT_EQ(sequential_reference(entry, late), got[2].patterns);
+  EXPECT_EQ(got[2].batch_samples, 5);
+  EXPECT_EQ(counters.batches.load(), 1u);
+  EXPECT_EQ(counters.samples.load(), 5u);
+  EXPECT_EQ(counters.joins.load(), 2u);
+  EXPECT_GE(counters.repacks.load(), 1u);  // the late pair left first
+}
+
+TEST(ContinuousBatch, CancelledMemberLeavesAndTheBatchRepacks) {
+  auto registry = tiny_registry();
+  ModelRegistry::EntryPtr entry = registry->get("t");
+  BatchCounters counters;
+  ContinuousBatch batch(16, counters);
+
+  GenRequest victim = sample_req(1, 5, 3);
+  victim.steps = 10;
+  GenRequest survivor = sample_req(2, 6, 2);
+  survivor.steps = 10;
+  PendingPtr p_victim = pending_for(entry, victim);
+  EXPECT_TRUE(
+      join_all(batch, {p_victim, pending_for(entry, survivor)}).empty());
+  EXPECT_TRUE(batch.step().empty());
+  EXPECT_TRUE(batch.leave_dead(std::chrono::steady_clock::now()).empty());
+
+  p_victim->cancelled.store(true);
+  std::vector<Completion> left =
+      batch.leave_dead(std::chrono::steady_clock::now());
+  ASSERT_EQ(left.size(), 1u);
+  EXPECT_EQ(left[0].first, p_victim);
+  EXPECT_EQ(left[0].second.error, ErrorCode::kCancelled);
+  EXPECT_EQ(batch.active(), 2);
+  EXPECT_EQ(counters.leaves.load(), 3u);
+  EXPECT_EQ(counters.repacks.load(), 1u);
+
+  std::map<std::uint64_t, GenResponse> got = run_to_drain(batch);
+  ASSERT_EQ(got.size(), 1u);
+  ASSERT_TRUE(got[2].ok()) << got[2].message;
+  EXPECT_EQ(sequential_reference(entry, survivor), got[2].patterns);
+}
+
+TEST(ContinuousBatch, ExpandMemberCompletesBitwise) {
+  auto registry = tiny_registry();
+  ModelRegistry::EntryPtr entry = registry->get("t");
+  BatchCounters counters;
+  ContinuousBatch batch(4, counters);
+
+  GenRequest req;
+  req.id = 1;
+  req.op = GenRequest::Op::kExpand;
+  req.model = "t";
+  req.seed = 31;
+  req.target_w = 40;
+  req.target_h = 24;
+  EXPECT_TRUE(join_all(batch, {pending_for(entry, req)}).empty());
+  EXPECT_FALSE(batch.empty());
+  EXPECT_EQ(batch.active(), 0);  // windows arrive through the feed pass
+  EXPECT_EQ(counters.batches.load(), 0u);
+
+  std::map<std::uint64_t, GenResponse> got = run_to_drain(batch);
+  ASSERT_TRUE(got[1].ok()) << got[1].message;
+  const expand::ExpandResult ref =
+      expand::expand_layout(*entry->pp, Raster(), 40, 24, 31);
+  ASSERT_EQ(got[1].patterns.size(), 1u);
+  EXPECT_TRUE(got[1].patterns[0] == ref.canvas);
+  EXPECT_TRUE(got[1].is_expand);
+  EXPECT_EQ(got[1].expand_windows, ref.stats.windows_total);
+  EXPECT_EQ(got[1].expand_waves, ref.stats.waves);
+  EXPECT_LE(got[1].batch_samples, 4);  // the sample cap bounds every feed
+  EXPECT_EQ(counters.batches.load(), 1u);
+  EXPECT_EQ(counters.samples.load(),
+            static_cast<std::uint64_t>(ref.stats.windows_generated));
+}
+
+TEST(ContinuousBatch, DrainedBatchForgetsItsClipShape) {
+  auto registry = tiny_registry();
+  ModelSpec wide = tiny_spec("s");
+  wide.clip_size = 20;
+  registry->load(wide);
+  BatchCounters counters;
+  ContinuousBatch batch(16, counters);
+
+  EXPECT_TRUE(join_all(batch, {pending_for(registry->get("t"),
+                                           sample_req(1, 10, 2))})
+                  .empty());
+  ASSERT_TRUE(run_to_drain(batch)[1].ok());
+  ASSERT_TRUE(batch.empty());
+
+  GenRequest other = sample_req(2, 20, 2);
+  other.model = "s";
+  EXPECT_TRUE(join_all(batch, {pending_for(registry->get("s"), other)})
+                  .empty());
+  std::map<std::uint64_t, GenResponse> got = run_to_drain(batch);
+  ASSERT_TRUE(got[2].ok()) << got[2].message;
+  EXPECT_EQ(sequential_reference(registry->get("s"), other),
+            got[2].patterns);
+  EXPECT_EQ(counters.batches.load(), 2u);
 }
 
 }  // namespace
