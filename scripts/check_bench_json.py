@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Validate PatternPaint observability artifacts.
 
-Checks three kinds of files against the same rules the C++ side enforces
-(src/obs/report.cpp, src/serve/reqlog.cpp):
+Checks four kinds of files against the same rules the C++ side enforces
+(src/obs/report.cpp, src/serve/reqlog.cpp) or the benchmark declares
+(BENCHMARK.json):
 
   * run reports (results/run_report_<tool>.json) — the version-1 schema:
     schema_version/tool/wall_ms/metrics/spans/trace core keys, histogram
@@ -11,13 +12,18 @@ Checks three kinds of files against the same rules the C++ side enforces
     summary lines (grep '^{"bench"' compatible);
   * wide-event request logs — the serve tier's NDJSON request log (one
     "serve.request" event per completed/rejected request), schema-checked
-    line by line.
+    line by line;
+  * perfbench results — the stdout of `perfbench/run.py --trace 0`, whose
+    last line must be a strict-JSON result object (no NaN/Infinity tokens)
+    with a bool `correct`, operation counts, and every BENCHMARK.json
+    end-to-end metric with its unit.
 
 Usage:
   check_bench_json.py --selfcheck
   check_bench_json.py report.json [more.json ...]
   check_bench_json.py --bench-log bench_stdout.txt [...]
   check_bench_json.py --request-log results/requests.ndjson [...]
+  check_bench_json.py --perfbench-result run_stdout.txt [...]
 
 Exit status 0 when every input validates, 1 otherwise. --selfcheck runs the
 built-in fixtures (wired as a ctest so CI exercises the validator without
@@ -26,7 +32,12 @@ needing bench results on disk).
 
 import argparse
 import json
+import math
+import os
 import sys
+
+BENCHMARK_JSON = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "BENCHMARK.json")
 
 # Must stay in lockstep with kHistFields in src/obs/report.cpp.
 HIST_FIELDS = {"count", "sum", "mean", "p50", "p95", "p99", "min", "max"}
@@ -419,6 +430,64 @@ def check_request_log(path):
     return errs
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-finite number token {token!r} is not JSON")
+
+
+def end_to_end_units(spec):
+    """{metric name: unit} of BENCHMARK.json's end-to-end metrics."""
+    return {m["name"]: m["unit"] for m in spec["end_to_end"]}
+
+
+def validate_perfbench_result(text, units):
+    """Problems with run.py's stdout `text` (empty list = valid)."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        return ["no output"]
+    try:
+        doc = json.loads(lines[-1], parse_constant=_reject_constant)
+    except ValueError as e:
+        return [f"last line is not strict JSON: {e}"]
+    if not isinstance(doc, dict):
+        return ["result is not a JSON object"]
+    errs = []
+    if not isinstance(doc.get("correct"), bool):
+        errs.append("correct must be a bool")
+    counts = {}
+    for key in ("attempted", "failed"):
+        v = doc.get(key)
+        if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+            errs.append(f"{key} must be a non-negative integer")
+        else:
+            counts[key] = v
+    if len(counts) == 2 and counts["failed"] > counts["attempted"]:
+        errs.append("failed exceeds attempted")
+    metrics = doc.get("metrics")
+    if not isinstance(metrics, dict):
+        return errs + ["metrics must be an object"]
+    for name, unit in sorted(units.items()):
+        m = metrics.get(name)
+        if not isinstance(m, dict):
+            errs.append(f"metric {name} missing")
+            continue
+        if not _num(m.get("value")) or not math.isfinite(m["value"]):
+            errs.append(f"metric {name} value must be a finite number")
+        if m.get("unit") != unit:
+            errs.append(f"metric {name} unit must be {unit!r}")
+    for name in sorted(set(metrics) - set(units)):
+        errs.append(f"metric {name} is not a BENCHMARK.json end-to-end metric")
+    return errs
+
+
+def check_perfbench_result(path, units):
+    try:
+        with open(path) as f:
+            text = f.read()
+    except OSError as e:
+        return [f"{path}: {e}"]
+    return [f"{path}: {e}" for e in validate_perfbench_result(text, units)]
+
+
 def selfcheck():
     good_report = {
         "schema_version": 1,
@@ -689,6 +758,50 @@ def selfcheck():
     if not open_loop_ratio_errors(ratio_bad):
         failures.append("sub-2x open-loop p95 ratio accepted")
 
+    # perfbench results: the last stdout line must parse as strict JSON.
+    # json.dumps writes NaN/Infinity for non-finite floats, which strict
+    # parsers reject, so such a line is a malformed result.
+    with open(BENCHMARK_JSON) as f:
+        units = end_to_end_units(json.load(f))
+    good_metrics = {name: {"value": 1.5, "unit": unit}
+                    for name, unit in units.items()}
+    info = json.dumps({"workload": "library", "checks": {"ok": True}})
+
+    def result(**over):
+        doc = {"correct": True, "attempted": 40, "failed": 0,
+               "metrics": good_metrics}
+        doc.update(over)
+        return info + "\n" + json.dumps(doc) + "\n"
+
+    name0 = sorted(units)[0]
+    good_results = [result(), result(correct=False, failed=40)]
+    bad_results = [
+        "",
+        info + "\nTraceback (most recent call last):\n",
+        result(metrics={**good_metrics, name0: {"value": float("nan"),
+                                                "unit": units[name0]}}),
+        result(metrics={**good_metrics, name0: {"value": float("inf"),
+                                                "unit": units[name0]}}),
+        result(metrics={k: v for k, v in good_metrics.items() if k != name0}),
+        result(metrics={**good_metrics, name0: {"value": 1.5, "unit": "?"}}),
+        result(metrics={**good_metrics, name0: {"value": True,
+                                                "unit": units[name0]}}),
+        result(metrics={**good_metrics, "bogus": {"value": 1.0, "unit": "s"}}),
+        result(correct="true"),
+        result(correct=1),
+        result(attempted=-1),
+        result(failed=41),
+        info,
+    ]
+    assert "NaN" in bad_results[2] and "Infinity" in bad_results[3]
+    for text in good_results:
+        if validate_perfbench_result(text, units):
+            failures.append(f"good perfbench result rejected: "
+                            f"{validate_perfbench_result(text, units)}")
+    for i, text in enumerate(bad_results):
+        if not validate_perfbench_result(text, units):
+            failures.append(f"bad perfbench result #{i} accepted")
+
     for msg in failures:
         print(f"selfcheck FAIL: {msg}", file=sys.stderr)
     if not failures:
@@ -704,15 +817,19 @@ def main():
                     help="stdout capture with {\"bench\"...} summary lines")
     ap.add_argument("--request-log", action="append", default=[],
                     help="wide-event NDJSON request log (serve.request lines)")
+    ap.add_argument("--perfbench-result", action="append", default=[],
+                    help="stdout of perfbench/run.py --trace 0 (result on "
+                         "its last line)")
     ap.add_argument("--selfcheck", action="store_true",
                     help="run built-in fixtures instead of reading files")
     args = ap.parse_args()
 
     if args.selfcheck:
         return selfcheck()
-    if not args.reports and not args.bench_log and not args.request_log:
+    if not (args.reports or args.bench_log or args.request_log or
+            args.perfbench_result):
         ap.error("nothing to check: pass report files, --bench-log, "
-                 "--request-log, or --selfcheck")
+                 "--request-log, --perfbench-result, or --selfcheck")
 
     errs = []
     for path in args.reports:
@@ -721,10 +838,16 @@ def main():
         errs += check_bench_log(path)
     for path in args.request_log:
         errs += check_request_log(path)
+    if args.perfbench_result:
+        with open(BENCHMARK_JSON) as f:
+            units = end_to_end_units(json.load(f))
+        for path in args.perfbench_result:
+            errs += check_perfbench_result(path, units)
     for e in errs:
         print(f"FAIL: {e}", file=sys.stderr)
     if not errs:
-        n = len(args.reports) + len(args.bench_log) + len(args.request_log)
+        n = (len(args.reports) + len(args.bench_log) + len(args.request_log)
+             + len(args.perfbench_result))
         print(f"OK: {n} file(s) validated")
     return 0 if not errs else 1
 

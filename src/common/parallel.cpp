@@ -17,6 +17,17 @@
 namespace pp {
 namespace {
 
+/// The pool slot busy time is credited to: 0 for every calling thread,
+/// 1.. for the pool workers (set once when a worker starts).
+thread_local std::size_t t_slot = 0;
+/// True while this thread runs a chunk of a multi-thread job. A
+/// parallel_for issued from such a chunk runs inline: the job slot is
+/// taken (by this very job), so dispatching would deadlock.
+thread_local bool t_in_job = false;
+/// Nesting depth of busy-timed regions on this thread. Only the outermost
+/// one credits busy time, so work nested inside a chunk is counted once.
+thread_local int t_busy_depth = 0;
+
 std::uint64_t mono_ns() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -61,11 +72,10 @@ class Pool {
 
     std::size_t n = end - begin;
     std::size_t nthreads = std::min(size(), n);
-    if (nthreads <= 1) {
+    if (nthreads <= 1 || t_in_job) {
       inline_jobs.add(1);
-      std::uint64_t t0 = mono_ns();
+      BusyTimer busy(*this);
       fn(begin, end);
-      busy_ns_[0].fetch_add(mono_ns() - t0, std::memory_order_relaxed);
       return;
     }
     std::unique_lock<std::mutex> guard(job_mutex_);  // one job at a time
@@ -81,10 +91,10 @@ class Pool {
       ++generation_;
     }
     cv_.notify_all();
-    // The calling thread participates as slot 0 and, by only returning
+    // The calling thread participates (busy slot 0) and, by only returning
     // once the chunk counter is exhausted, guarantees every chunk is
     // claimed before the completion wait below.
-    work_chunks(*job, 0);
+    work_chunks(*job);
     {
       std::unique_lock<std::mutex> lk(m_);
       done_cv_.wait(lk, [&] {
@@ -104,17 +114,39 @@ class Pool {
     s.inline_jobs = obs::metrics().counter("pool.inline_jobs").value();
     s.chunks = obs::metrics().counter("pool.chunks").value();
     double wall = static_cast<double>(mono_ns() - start_ns_);
+    s.busy_ns.resize(size());
     s.busy_fraction.resize(size());
-    for (std::size_t i = 0; i < size(); ++i)
+    for (std::size_t i = 0; i < size(); ++i) {
+      s.busy_ns[i] = busy_ns_[i].load(std::memory_order_relaxed);
       s.busy_fraction[i] =
-          wall > 0 ? static_cast<double>(
-                         busy_ns_[i].load(std::memory_order_relaxed)) /
-                         wall
-                   : 0.0;
+          wall > 0 ? static_cast<double>(s.busy_ns[i]) / wall : 0.0;
+    }
     return s;
   }
 
  private:
+  /// Credits the enclosed wall time to the running thread's slot, unless
+  /// an enclosing region on this thread already does.
+  class BusyTimer {
+   public:
+    explicit BusyTimer(Pool& pool)
+        : pool_(pool), outer_(t_busy_depth++ == 0),
+          t0_(outer_ ? mono_ns() : 0) {}
+    ~BusyTimer() {
+      --t_busy_depth;
+      if (outer_)
+        pool_.busy_ns_[t_slot].fetch_add(mono_ns() - t0_,
+                                         std::memory_order_relaxed);
+    }
+    BusyTimer(const BusyTimer&) = delete;
+    BusyTimer& operator=(const BusyTimer&) = delete;
+
+   private:
+    Pool& pool_;
+    bool outer_;
+    std::uint64_t t0_;
+  };
+
   Pool() {
     std::size_t n = 0;
     // PP_THREADS overrides the pool width (1 = fully serial), for perf
@@ -132,7 +164,10 @@ class Pool {
     busy_ns_ = std::make_unique<std::atomic<std::uint64_t>[]>(n);
     for (std::size_t i = 0; i < n; ++i) busy_ns_[i].store(0);
     for (std::size_t i = 0; i + 1 < n; ++i) {
-      workers_.emplace_back([this, i] { worker_loop(i + 1); });
+      workers_.emplace_back([this, i] {
+        t_slot = i + 1;
+        worker_loop();
+      });
     }
     obs::register_report_section("pool", [] {
       PoolStats s = pool_stats();
@@ -157,7 +192,7 @@ class Pool {
     for (auto& t : workers_) t.join();
   }
 
-  void worker_loop(std::size_t slot) {
+  void worker_loop() {
     static obs::Histogram& wait_ns =
         obs::metrics().histogram("pool.job_wait_ns");
     std::uint64_t seen = 0;
@@ -172,35 +207,36 @@ class Pool {
       }
       if (!job) continue;
       wait_ns.observe(static_cast<double>(mono_ns() - job->publish_ns));
-      work_chunks(*job, slot);
+      work_chunks(*job);
     }
   }
 
   /// Claims and executes chunks. Registers in job.active around the whole
   /// claim/execute phase, so `active == 0` while the counter is exhausted
   /// means no callback invocation is in flight anywhere.
-  void work_chunks(Job& job, std::size_t slot) {
+  void work_chunks(Job& job) {
     static obs::Counter& chunk_counter = obs::metrics().counter("pool.chunks");
     job.active.fetch_add(1, std::memory_order_acquire);
-    std::uint64_t t0 = mono_ns();
     std::size_t executed = 0;
-    for (;;) {
-      std::size_t c = job.next_chunk.fetch_add(1, std::memory_order_relaxed);
-      std::size_t lo = job.begin + c * job.chunk;
-      if (lo >= job.end || c * job.chunk >= job.end - job.begin) break;
-      std::size_t hi = std::min(job.end, lo + job.chunk);
-      ++executed;
-      try {
-        (*job.fn)(lo, hi);
-      } catch (...) {
-        std::lock_guard<std::mutex> lk(job.err_m);
-        if (!job.first_error) job.first_error = std::current_exception();
+    {
+      BusyTimer busy(*this);
+      t_in_job = true;
+      for (;;) {
+        std::size_t c = job.next_chunk.fetch_add(1, std::memory_order_relaxed);
+        std::size_t lo = job.begin + c * job.chunk;
+        if (lo >= job.end || c * job.chunk >= job.end - job.begin) break;
+        std::size_t hi = std::min(job.end, lo + job.chunk);
+        ++executed;
+        try {
+          (*job.fn)(lo, hi);
+        } catch (...) {
+          std::lock_guard<std::mutex> lk(job.err_m);
+          if (!job.first_error) job.first_error = std::current_exception();
+        }
       }
+      t_in_job = false;
     }
-    if (executed) {
-      chunk_counter.add(executed);
-      busy_ns_[slot].fetch_add(mono_ns() - t0, std::memory_order_relaxed);
-    }
+    if (executed) chunk_counter.add(executed);
     if (job.active.fetch_sub(1, std::memory_order_release) == 1) {
       std::lock_guard<std::mutex> lk(m_);
       done_cv_.notify_all();

@@ -2,6 +2,9 @@
 //
 // parallel_for splits [begin, end) into contiguous chunks across a shared
 // thread pool. The body must be safe to run concurrently on disjoint indices.
+// A parallel_for issued from inside a pool job's body runs inline on the
+// thread that issued it, so the outer call owns the parallelism (e.g. one
+// job per conv over the batch, with each sample's GEMM running serially).
 #pragma once
 
 #include <cstddef>
@@ -22,11 +25,15 @@ std::size_t parallel_thread_count();
 struct PoolStats {
   std::size_t threads = 0;      ///< pool width incl. the calling thread
   std::uint64_t jobs = 0;       ///< parallel jobs dispatched to workers
-  std::uint64_t inline_jobs = 0;///< jobs run serially (small range / 1 thread)
+  std::uint64_t inline_jobs = 0;///< jobs run serially (small range,
+                                ///< 1 thread, or nested in a pool job)
   std::uint64_t chunks = 0;     ///< work chunks claimed across all threads
-  /// Fraction of wall time each thread spent executing chunk bodies since
-  /// pool creation. Slot 0 aggregates every calling thread; slots 1.. are
-  /// the pool workers.
+  /// Time each slot spent executing job bodies since pool creation, and
+  /// that time as a fraction of the pool's lifetime. Slot 0 aggregates
+  /// every calling thread; slots 1.. are the pool workers. A body is
+  /// credited to the thread that ran it, once: a job nested inside another
+  /// job's body adds nothing beyond the enclosing body's time.
+  std::vector<std::uint64_t> busy_ns;
   std::vector<double> busy_fraction;
 };
 PoolStats pool_stats();

@@ -217,17 +217,21 @@ std::vector<GenerationRecord> PatternPaint::generate_for(
   static obs::Counter& generated = obs::metrics().counter("pp.generated");
   static obs::Counter& legal = obs::metrics().counter("pp.legal");
 
-  // Stage 1 (serial): inpaint every pair, collecting the flat sample list.
-  std::vector<Raster> raws, tmpl_of;
-  for (std::size_t i = 0; i < templates.size(); ++i) {
-    if (counts[i] <= 0) continue;
-    std::vector<Raster> batch =
-        inpaint_variations(templates[i], masks[i], counts[i]);
-    for (Raster& raw : batch) {
-      raws.push_back(std::move(raw));
+  // Stage 1: inpaint the rows of every pair, stacked in sample order, in
+  // one Ddpm::inpaint call, so each UNet forward carries enough samples
+  // for the conv's sample-level fan-out (the sampler bounds the rows per
+  // forward). inpaint draws one stream base per row in row order, so each
+  // sample is bitwise what one call per pair (inpaint_variations) gives.
+  std::vector<Raster> tmpl_of, mask_of;
+  for (std::size_t i = 0; i < templates.size(); ++i)
+    for (int c = 0; c < counts[i]; ++c) {
       tmpl_of.push_back(templates[i]);
+      mask_of.push_back(masks[i]);
     }
-  }
+  std::vector<Raster> raws;
+  if (!tmpl_of.empty())
+    raws = tensor_to_rasters(model_.inpaint(
+        rasters_to_tensor(tmpl_of), masks_to_tensor(mask_of), rng_));
 
   // Stage 2 (parallel): denoise + DRC with per-sample streams.
   std::vector<GenerationRecord> records = finish_samples(raws, tmpl_of);

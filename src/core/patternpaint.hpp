@@ -125,9 +125,11 @@ class PatternPaint {
   std::size_t total_legal() const { return total_legal_; }
 
  private:
-  /// Inpaints counts[i] variations of each (template, mask) pair, then
-  /// denoises + DRC-checks every sample in parallel (finish_samples) and
-  /// merges records/library/counters serially in sample order.
+  /// Inpaints counts[i] variations of each (template, mask) pair, all
+  /// pairs' rows in one batched inpaint call (bitwise what one call per
+  /// pair gives), then denoises + DRC-checks every sample in parallel
+  /// (finish_samples) and merges records/library/counters serially in
+  /// sample order.
   std::vector<GenerationRecord> generate_for(
       const std::vector<Raster>& templates, const std::vector<Raster>& masks,
       const std::vector<int>& counts);

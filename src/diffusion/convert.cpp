@@ -4,19 +4,30 @@
 
 namespace pp {
 
-nn::Tensor rasters_to_tensor(const std::vector<Raster>& batch) {
-  PP_REQUIRE_MSG(!batch.empty(), "rasters_to_tensor: empty batch");
+namespace {
+
+/// Stacks same-shape rasters into {N,1,H,W}: set pixels -> `on`, clear
+/// pixels -> `off`.
+nn::Tensor stack_rasters(const std::vector<Raster>& batch, float on,
+                         float off) {
+  PP_REQUIRE_MSG(!batch.empty(), "stack_rasters: empty batch");
   int h = batch.front().height(), w = batch.front().width();
   nn::Tensor out({static_cast<int>(batch.size()), 1, h, w});
   for (std::size_t n = 0; n < batch.size(); ++n) {
     const Raster& r = batch[n];
     PP_REQUIRE_MSG(r.width() == w && r.height() == h,
-                   "rasters_to_tensor: inconsistent shapes");
+                   "stack_rasters: inconsistent shapes");
     float* p = out.data() + n * static_cast<std::size_t>(h) * w;
     for (std::size_t i = 0; i < static_cast<std::size_t>(h) * w; ++i)
-      p[i] = r.data()[i] ? 1.0f : -1.0f;
+      p[i] = r.data()[i] ? on : off;
   }
   return out;
+}
+
+}  // namespace
+
+nn::Tensor rasters_to_tensor(const std::vector<Raster>& batch) {
+  return stack_rasters(batch, 1.0f, -1.0f);
 }
 
 nn::Tensor raster_to_tensor(const Raster& r) { return rasters_to_tensor({r}); }
@@ -38,10 +49,11 @@ std::vector<Raster> tensor_to_rasters(const nn::Tensor& t) {
 }
 
 nn::Tensor mask_to_tensor(const Raster& mask) {
-  nn::Tensor out({1, 1, mask.height(), mask.width()});
-  for (std::size_t i = 0; i < out.numel(); ++i)
-    out[i] = mask.data()[i] ? 1.0f : 0.0f;
-  return out;
+  return masks_to_tensor({mask});
+}
+
+nn::Tensor masks_to_tensor(const std::vector<Raster>& masks) {
+  return stack_rasters(masks, 1.0f, 0.0f);
 }
 
 nn::Tensor repeat_batch(const nn::Tensor& t, int n) {

@@ -23,6 +23,9 @@ std::vector<Raster> tensor_to_rasters(const nn::Tensor& t);
 /// Mask raster (1 = region to regenerate) to {1,1,H,W} float {0,1} tensor.
 nn::Tensor mask_to_tensor(const Raster& mask);
 
+/// Stacks mask rasters (all the same shape) into an {N,1,H,W} {0,1} tensor.
+nn::Tensor masks_to_tensor(const std::vector<Raster>& masks);
+
 /// Repeats a {1,1,H,W} tensor n times along the batch axis.
 nn::Tensor repeat_batch(const nn::Tensor& t, int n);
 

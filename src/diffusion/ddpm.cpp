@@ -178,6 +178,37 @@ std::vector<int> strided_schedule(int K, int T) {
   return ts;
 }
 
+/// Fewest rows one UNet forward in step() may carry before a batch is
+/// split into slices; the pool width raises it on wider hosts.
+constexpr int kMinForwardRows = 8;
+
+/// Runs the UNet over `in` in consecutive slices of at most
+/// max(kMinForwardRows, pool width) rows. Each row's output depends on
+/// that row alone, so slicing never changes a bit. It bounds the
+/// activations alive at once, and so what the allocator keeps once they
+/// are freed, however many samples a batch holds, while every slice still
+/// gives each pool thread samples of its own.
+Tensor infer_in_slices(const UNet& net, const Tensor& in,
+                       const std::vector<float>& t_frac) {
+  const int N = in.dim(0);
+  const int rows =
+      std::max(kMinForwardRows, static_cast<int>(parallel_thread_count()));
+  if (N <= rows) return net.infer(in, t_frac);
+  const std::size_t in_per = in.numel() / static_cast<std::size_t>(N);
+  Tensor eps;
+  for (int lo = 0; lo < N; lo += rows) {
+    const int n = std::min(rows, N - lo);
+    Tensor slice({n, in.dim(1), in.dim(2), in.dim(3)});
+    std::copy_n(in.data() + static_cast<std::size_t>(lo) * in_per,
+                static_cast<std::size_t>(n) * in_per, slice.data());
+    Tensor e = net.infer(slice, {t_frac.begin() + lo, t_frac.begin() + lo + n});
+    if (lo == 0) eps = Tensor({N, e.dim(1), e.dim(2), e.dim(3)});
+    std::copy_n(e.data(), e.numel(),
+                eps.data() + static_cast<std::size_t>(lo) * (e.numel() / n));
+  }
+  return eps;
+}
+
 /// Copies the packed {1,H,W} rows listed in `keep` of `src` into a fresh
 /// {keep.size(),1,H,W} tensor (the re-pack primitive).
 nn::Tensor pack_rows(const Tensor& src, const std::vector<int>& keep,
@@ -313,7 +344,7 @@ std::vector<FinishedSample> Ddpm::step(InpaintState& st) const {
   // Graph-free fast path: sampling never backprops, so skip autograd
   // entirely (no Node allocation — asserted by diffusion_test). t_frac is
   // genuinely per-row here; the UNet's time MLP embeds each row separately.
-  Tensor eps = net_.infer(in, t_frac);
+  Tensor eps = infer_in_slices(net_, in, t_frac);
 
   // DDIM update with per-sample stochasticity.
   parallel_for(0, static_cast<std::size_t>(N), [&](std::size_t n) {

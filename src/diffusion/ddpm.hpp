@@ -150,8 +150,9 @@ class Ddpm {
             const std::vector<std::uint64_t>& tags,
             const SamplerParams& params = {}) const;
 
-  /// Runs ONE denoising step for every active sample (one UNet batch with
-  /// per-sample timestep conditioning and per-sample DDIM coefficients).
+  /// Runs ONE denoising step for every active sample (UNet forwards of at
+  /// most max(8, pool width) rows each, with per-sample timestep
+  /// conditioning and per-sample DDIM coefficients).
   /// Samples whose schedule completes are composited (known pixels kept
   /// exactly), removed from the state — the remaining rows re-pack — and
   /// returned. No-op on an empty state.

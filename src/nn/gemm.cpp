@@ -188,6 +188,12 @@ void sgemm_i8_nt(int M, int N, int K, const std::int16_t* A, int lda,
 
 void im2col(const float* x, int ci, int h, int w, int kh, int kw, int stride,
             int pad, int ho, int wo, float* col) {
+  im2col_band(x, ci, h, w, kh, kw, stride, pad, 0, ho, wo, col);
+}
+
+void im2col_band(const float* x, int ci, int h, int w, int kh, int kw,
+                 int stride, int pad, int oh_lo, int oh_hi, int wo,
+                 float* col) {
   const std::size_t plane = static_cast<std::size_t>(h) * w;
   float* dst = col;
   if (pad == 0) {
@@ -197,7 +203,7 @@ void im2col(const float* x, int ci, int h, int w, int kh, int kw, int stride,
       const float* xp = x + static_cast<std::size_t>(c) * plane;
       for (int ky = 0; ky < kh; ++ky) {
         for (int kx = 0; kx < kw; ++kx) {
-          for (int oh = 0; oh < ho; ++oh, dst += wo) {
+          for (int oh = oh_lo; oh < oh_hi; ++oh, dst += wo) {
             const float* src =
                 xp + static_cast<std::size_t>(oh * stride + ky) * w + kx;
             if (stride == 1) {
@@ -215,7 +221,7 @@ void im2col(const float* x, int ci, int h, int w, int kh, int kw, int stride,
     const float* xp = x + static_cast<std::size_t>(c) * plane;
     for (int ky = 0; ky < kh; ++ky) {
       for (int kx = 0; kx < kw; ++kx) {
-        for (int oh = 0; oh < ho; ++oh, dst += wo) {
+        for (int oh = oh_lo; oh < oh_hi; ++oh, dst += wo) {
           const int ih = oh * stride + ky - pad;
           if (ih < 0 || ih >= h) {
             std::memset(dst, 0, sizeof(float) * static_cast<std::size_t>(wo));

@@ -117,6 +117,13 @@ inline std::size_t im2col_rows(int ci, int kh, int kw) {
 void im2col(const float* x, int ci, int h, int w, int kh, int kw, int stride,
             int pad, int ho, int wo, float* col);
 
+/// im2col restricted to the band of output rows [oh_lo, oh_hi): writes
+/// col{Ci*Kh*Kw, (oh_hi-oh_lo)*Wo}, i.e. the columns oh_lo*Wo .. oh_hi*Wo
+/// of the full matrix, packed with that band width as leading dimension.
+void im2col_band(const float* x, int ci, int h, int w, int kh, int kw,
+                 int stride, int pad, int oh_lo, int oh_hi, int wo,
+                 float* col);
+
 /// Adjoint of im2col: scatter-adds col{Ci*Kh*Kw, Ho*Wo} back into the
 /// {Ci,H,W} plane (x is accumulated into, not overwritten).
 void col2im_add(const float* col, int ci, int h, int w, int kh, int kw,

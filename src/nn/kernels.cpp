@@ -200,6 +200,11 @@ void conv_grad_input_direct(const ConvDims& d, int stride, int pad,
 
 }  // namespace
 
+// Target size of one im2col band in conv2d_forward: small enough that a
+// group's scratch stays in L2 and each concurrently running group costs
+// little memory, large enough that a band's GEMM has hundreds of columns.
+constexpr std::size_t kIm2colBandFloats = 1 << 16;
+
 // Elementwise loops below this many elements run serially; above it they
 // split across the pool (no-op on single-core hosts where the pool is 1).
 constexpr std::size_t kEltwiseParallelMin = 1 << 15;
@@ -237,13 +242,11 @@ Tensor conv2d_forward(const Tensor& x, const Tensor& w, const Tensor& b,
   }
   PP_TRACE_SPAN("nn.conv2d.gemm");
   gemm_dispatches.add(1);
-  const int K2 = d.Ci * d.Kh * d.Kw;
-  const int P = d.Ho * d.Wo;
+  const std::size_t K2 = static_cast<std::size_t>(d.Ci) * d.Kh * d.Kw;
+  const std::size_t P = static_cast<std::size_t>(d.Ho) * d.Wo;
   const bool pointwise = is_pointwise(d, stride, pad);
   Workspace& ws = Workspace::tls();
   WorkspaceScope scope(ws);
-  float* col = pointwise ? nullptr
-                         : ws.alloc(static_cast<std::size_t>(K2) * P);
   // Bias (one value per output-channel row) and activation run as a fused
   // epilogue on each row chunk right after the GEMM writes it.
   GemmEpilogue epi;
@@ -251,35 +254,7 @@ Tensor conv2d_forward(const Tensor& x, const Tensor& w, const Tensor& b,
   epi.act = act;
   const Precision prec = active_precision();
   auto qw = quant_lookup(w.data(), prec);
-  if (qw && prec == Precision::kInt8) {
-    // C{Co,P} = Wq{Co,K2} · Colq{K2,P} over int8-range int16 lanes:
-    // weights were quantized per output channel at load time, activations
-    // are quantized per tensor here with a dynamic scale. The quantized
-    // panel stays in im2col's natural {K2, P} order — sgemm_i8_nt
-    // pair-packs it directly (I8Layout::kKN), no transpose pass. The
-    // epilogue dequantizes each row by scales[co]·a_scale, then bias+act.
-    std::int16_t* qpanel = alloc_i16(ws, static_cast<std::size_t>(K2) * P);
-    epi.dequant_row = qw->scales.data();
-    for (int n = 0; n < d.N; ++n) {
-      const float* xn =
-          x.data() + static_cast<std::size_t>(n) * d.Ci * d.H * d.W;
-      const float* colp = xn;
-      if (!pointwise) {
-        im2col(xn, d.Ci, d.H, d.W, d.Kh, d.Kw, stride, pad, d.Ho, d.Wo, col);
-        colp = col;
-      }
-      const float amax =
-          absmax_scalar(colp, static_cast<std::size_t>(K2) * P);
-      const float inv = amax == 0.0f ? 0.0f : 127.0f / amax;
-      detail::active_kernels().quantize_s8(colp, inv, qpanel,
-                                           static_cast<std::size_t>(K2) * P);
-      epi.dequant_scale = amax / 127.0f;
-      float* on = out.data() + static_cast<std::size_t>(n) * d.Co * P;
-      sgemm_i8_nt(d.Co, P, K2, qw->q16.data(), K2, qpanel, P, on, P, &epi,
-                  I8Layout::kKN);
-    }
-    return out;
-  }
+  const bool int8 = qw && prec == Precision::kInt8;
   const float* wp = w.data();
   if (qw && prec == Precision::kBf16) {
     // bf16 tier: widen the stored bf16 weights back to fp32 (exact) once
@@ -289,17 +264,90 @@ Tensor conv2d_forward(const Tensor& x, const Tensor& w, const Tensor& b,
                                         static_cast<std::size_t>(d.Co) * K2);
     wp = wf;
   }
-  for (int n = 0; n < d.N; ++n) {
-    const float* xn = x.data() + static_cast<std::size_t>(n) * d.Ci * d.H * d.W;
+  // Sample-level parallelism: the batch splits into contiguous groups, at
+  // most one per pool thread, and each group runs im2col + GEMM for its own
+  // samples. The GEMMs run inline inside the group (nested parallel_for),
+  // so the conv is one pool job whatever the batch size; a single-sample
+  // batch is one group whose GEMM splits rows over the pool instead. Each
+  // group owns a scratch slot, allocated here on the calling thread.
+  const std::size_t N = static_cast<std::size_t>(d.N);
+  const std::size_t width = std::min(parallel_thread_count(), N);
+  const std::size_t per_group = (N + width - 1) / width;
+  const std::size_t groups = (N + per_group - 1) / per_group;
+  // With several groups, fp32/bf16 unroll im2col one band of output rows
+  // at a time, so a slot stays near kIm2colBandFloats however large the
+  // plane. Each output element's dot product runs over the same depth in
+  // the same order in any band, so banding never changes a bit. A single
+  // group unrolls the whole plane into one slot, so its row-split GEMM is
+  // one pool job; int8 does too, as its dynamic activation scale spans
+  // the sample.
+  const int band_rows =
+      pointwise || int8 || groups == 1
+          ? d.Ho
+          : std::clamp(static_cast<int>(kIm2colBandFloats / (K2 * d.Wo)), 1,
+                       d.Ho);
+  const std::size_t band_p = static_cast<std::size_t>(band_rows) * d.Wo;
+  // Slot strides are rounded to 64 bytes so every slot stays aligned.
+  const std::size_t col_n = pointwise ? 0 : (K2 * band_p + 15) / 16 * 16;
+  float* cols = pointwise ? nullptr : ws.alloc(groups * col_n);
+  // int8: each sample's activation panel is quantized in im2col's natural
+  // {K2, P} order, then panel-packed (I8Layout::kKN) into the group's slot,
+  // so the sgemm_i8_nt inside the group allocates nothing.
+  const std::size_t q_n = int8 ? (K2 * P + 31) / 32 * 32 : 0;
+  const std::size_t pk_n =
+      int8 ? (packed_i8_size(static_cast<int>(P), static_cast<int>(K2)) +
+              31) / 32 * 32
+           : 0;
+  std::int16_t* qbuf = int8 ? alloc_i16(ws, groups * (q_n + pk_n)) : nullptr;
+  if (int8) epi.dequant_row = qw->scales.data();
+  const int Co = d.Co, Ki = static_cast<int>(K2), Pi = static_cast<int>(P);
+
+  auto run_sample = [&](std::size_t n, std::size_t g) {
+    const float* xn = x.data() + n * d.Ci * d.H * d.W;
+    float* on = out.data() + n * Co * P;
+    float* col = cols ? cols + g * col_n : nullptr;
+    if (!int8) {
+      for (int oh = 0; oh < d.Ho; oh += band_rows) {
+        const int rows = std::min(band_rows, d.Ho - oh);
+        const int bp = rows * d.Wo;
+        const float* colp = xn;
+        if (!pointwise) {
+          im2col_band(xn, d.Ci, d.H, d.W, d.Kh, d.Kw, stride, pad, oh,
+                      oh + rows, d.Wo, col);
+          colp = col;
+        }
+        sgemm_nn(Co, bp, Ki, wp, Ki, colp, bp,
+                 on + static_cast<std::size_t>(oh) * d.Wo, Pi,
+                 /*accumulate=*/false, &epi);
+      }
+      return;
+    }
+    // C{Co,P} = Wq{Co,K2} · Colq{K2,P} over int8-range int16 lanes: weights
+    // were quantized per output channel at load time, activations are
+    // quantized per sample here with a dynamic scale. The epilogue
+    // dequantizes each row by scales[co]·a_scale, then bias+act.
     const float* colp = xn;
     if (!pointwise) {
       im2col(xn, d.Ci, d.H, d.W, d.Kh, d.Kw, stride, pad, d.Ho, d.Wo, col);
       colp = col;
     }
-    float* on = out.data() + static_cast<std::size_t>(n) * d.Co * P;
-    sgemm_nn(d.Co, P, K2, wp, K2, colp, P, on, P, /*accumulate=*/false,
-             &epi);
-  }
+    std::int16_t* qpanel = qbuf + g * (q_n + pk_n);
+    std::int16_t* packed = qpanel + q_n;
+    const float amax = absmax_scalar(colp, K2 * P);
+    const float inv = amax == 0.0f ? 0.0f : 127.0f / amax;
+    detail::active_kernels().quantize_s8(colp, inv, qpanel, K2 * P);
+    pack_i8_b(qpanel, Pi, Ki, I8Layout::kKN, Pi, packed);
+    GemmEpilogue e = epi;
+    e.dequant_scale = amax / 127.0f;
+    sgemm_i8_nt(Co, Pi, Ki, qw->q16.data(), Ki, packed, Pi, on, Pi, &e,
+                I8Layout::kPacked);
+  };
+  parallel_for_chunks(0, groups, [&](std::size_t glo, std::size_t ghi) {
+    for (std::size_t g = glo; g < ghi; ++g)
+      for (std::size_t n = g * per_group;
+           n < std::min(N, (g + 1) * per_group); ++n)
+        run_sample(n, g);
+  });
   return out;
 }
 

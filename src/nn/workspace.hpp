@@ -8,7 +8,12 @@
 //     the allocation is released (stack discipline, enforced by
 //     WorkspaceScope);
 //   * the arena is thread-local: kernels allocate on the calling thread
-//     only, never inside parallel_for bodies;
+//     only, never inside parallel_for bodies. A kernel that fans out
+//     allocates one slot per chunk up front (conv2d_forward: one im2col
+//     slot per sample group) and each chunk uses only its own slot;
+//   * kernels nested inside a pool job (the GEMM of one sample group) run
+//     inline on the worker and allocate nothing, so worker arenas stay
+//     empty on the inference path;
 //   * capacity is retained across resets; shrink() returns it to the OS.
 #pragma once
 

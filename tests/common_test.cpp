@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <set>
 
@@ -176,6 +177,74 @@ TEST(Parallel, ReentrantSequentialJobs) {
   parallel_for(0, 300, [&](std::size_t) { b.fetch_add(1); });
   EXPECT_EQ(a.load(), 500);
   EXPECT_EQ(b.load(), 300);
+}
+
+// A pool-job body that issues its own parallel_for (a conv fanned out over
+// samples whose per-sample GEMM splits rows) must run the inner call inline
+// on the thread that issued it. Dispatching it would re-take the one job
+// slot the outer call holds and hang; ctest's TIMEOUT turns that into a
+// failure.
+TEST(Parallel, NestedCallsRunInline) {
+  const std::size_t outer = 2 * parallel_thread_count() + 1;
+  std::vector<std::atomic<int>> hits(outer * 16);
+  const std::uint64_t inline_before = pool_stats().inline_jobs;
+  parallel_for_chunks(0, outer, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t o = lo; o < hi; ++o)
+      parallel_for(0, 16, [&](std::size_t i) { hits[o * 16 + i].fetch_add(1); });
+  });
+  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+  if (parallel_thread_count() > 1) {
+    EXPECT_GE(pool_stats().inline_jobs - inline_before, outer);
+  }
+}
+
+void spin_for(std::chrono::milliseconds d) {
+  const auto until = std::chrono::steady_clock::now() + d;
+  while (std::chrono::steady_clock::now() < until) {
+  }
+}
+
+// Busy time goes to the slot of the thread that ran the body, once. Every
+// pool thread takes one item (a barrier keeps each item on its own thread)
+// and spins inside a nested, inline parallel_for. No slot may then be
+// credited more time than the call took: nested runs must neither pile
+// onto slot 0 nor be counted on top of their enclosing chunk.
+TEST(Parallel, BusyTimeCreditsRunningThreadOnce) {
+  const std::size_t n = parallel_thread_count();
+  if (n < 2) GTEST_SKIP() << "needs a pool of at least 2 threads";
+  const auto spin = std::chrono::milliseconds(60);
+  std::atomic<std::size_t> arrived{0};
+  std::atomic<bool> barrier_timed_out{false};
+  const PoolStats before = pool_stats();
+  const auto t0 = std::chrono::steady_clock::now();
+  parallel_for_chunks(0, n, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      arrived.fetch_add(1);
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (arrived.load() < n) {
+        if (std::chrono::steady_clock::now() > deadline) {
+          barrier_timed_out = true;
+          break;
+        }
+      }
+      parallel_for_chunks(0, 2, [&](std::size_t, std::size_t) { spin_for(spin); });
+    }
+  });
+  const auto wall_ns = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count());
+  ASSERT_FALSE(barrier_timed_out) << "pool threads never ran concurrently";
+  const PoolStats after = pool_stats();
+  ASSERT_EQ(after.busy_ns.size(), n);
+  const auto spin_ns = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(spin).count());
+  for (std::size_t s = 0; s < n; ++s) {
+    const std::uint64_t busy = after.busy_ns[s] - before.busy_ns[s];
+    EXPECT_GE(busy, spin_ns) << "slot " << s << " not credited";
+    EXPECT_LE(busy, wall_ns) << "slot " << s << " credited twice";
+  }
 }
 
 TEST(Error, RequireMacroThrowsWithContext) {

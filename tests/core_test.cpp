@@ -3,13 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <unordered_map>
 
 #include "common/error.hpp"
 #include "core/config.hpp"
 #include "core/library.hpp"
 #include "core/outpaint.hpp"
 #include "core/patternpaint.hpp"
+#include "diffusion/convert.hpp"
 #include "patterngen/track_generator.hpp"
+#include "select/masks.hpp"
+#include "select/representative.hpp"
 
 namespace pp {
 namespace {
@@ -247,6 +251,124 @@ TEST(Determinism, SameSeedReproducesIdenticalLibrary) {
   // the determinism_pp_threads ctest, which re-runs this kind of pipeline
   // under PP_THREADS=1 and PP_THREADS=8 and diffs the output).
   EXPECT_EQ(generation_signature(99), generation_signature(99));
+}
+
+/// Replays PatternPaint's generation stages by hand, one Ddpm::inpaint
+/// call per (template, mask) pair (inpaint_variations' body), drawing from
+/// an Rng in the same state as a PatternPaint built with the same seed.
+class PerPairReference {
+ public:
+  PerPairReference(const PatternPaintConfig& cfg, std::uint64_t seed,
+                   const std::vector<Raster>& starters)
+      : cfg_(cfg), rng_(seed), model_(cfg.ddpm, rng_), starters_(starters),
+        masks_(all_masks(cfg.clip_size, cfg.clip_size)) {
+    library_.add_all(starters);
+  }
+
+  std::vector<GenerationRecord> initial_generation(const PatternPaint& pp,
+                                                  int variations_per_mask) {
+    std::vector<Raster> tmpls, masks;
+    for (const Raster& s : starters_)
+      for (const Raster& m : masks_) {
+        tmpls.push_back(s);
+        masks.push_back(m);
+      }
+    return generate(pp, tmpls, masks,
+                    std::vector<int>(tmpls.size(), variations_per_mask));
+  }
+
+  /// Same selection, exact-budget split and per-pattern mask schedule as
+  /// PatternPaint::iteration_round.
+  std::vector<GenerationRecord> iteration_round(const PatternPaint& pp,
+                                                int samples) {
+    RepresentativeConfig rc;
+    rc.k = cfg_.representatives;
+    rc.explained_variance = 0.9;
+    rc.max_density = cfg_.max_density;
+    std::vector<std::size_t> sel =
+        select_representatives(library_.clips(), rc, rng_);
+    const int base = samples / static_cast<int>(sel.size());
+    const int rem = samples % static_cast<int>(sel.size());
+    std::vector<Raster> tmpls, masks;
+    std::vector<int> counts;
+    for (std::size_t i = 0; i < sel.size(); ++i) {
+      const int count = base + (static_cast<int>(i) < rem ? 1 : 0);
+      if (count == 0) continue;
+      std::size_t& cursor = cursor_[sel[i]];
+      tmpls.push_back(library_.clips()[sel[i]]);
+      masks.push_back(masks_[cursor % masks_.size()]);
+      counts.push_back(count);
+      ++cursor;
+    }
+    return generate(pp, tmpls, masks, counts);
+  }
+
+  const PatternLibrary& library() const { return library_; }
+
+ private:
+  std::vector<GenerationRecord> generate(const PatternPaint& pp,
+                                         const std::vector<Raster>& tmpls,
+                                         const std::vector<Raster>& masks,
+                                         const std::vector<int>& counts) {
+    std::vector<Raster> raws, tmpl_of;
+    for (std::size_t i = 0; i < tmpls.size(); ++i) {
+      nn::Tensor out = model_.inpaint(
+          repeat_batch(raster_to_tensor(tmpls[i]), counts[i]),
+          repeat_batch(mask_to_tensor(masks[i]), counts[i]), rng_);
+      for (Raster& r : tensor_to_rasters(out)) {
+        raws.push_back(std::move(r));
+        tmpl_of.push_back(tmpls[i]);
+      }
+    }
+    std::vector<std::uint64_t> bases(raws.size());
+    for (auto& b : bases) b = rng_.draw_seed();
+    std::vector<GenerationRecord> records =
+        pp.finish_samples(raws, tmpl_of, bases);
+    for (const GenerationRecord& r : records)
+      if (r.legal) library_.add(r.denoised);
+    return records;
+  }
+
+  PatternPaintConfig cfg_;
+  Rng rng_;
+  Ddpm model_;
+  std::vector<Raster> starters_;
+  std::vector<Raster> masks_;
+  PatternLibrary library_;
+  std::unordered_map<std::size_t, std::size_t> cursor_;
+};
+
+void expect_same_records(const std::vector<GenerationRecord>& got,
+                         const std::vector<GenerationRecord>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].raw, want[i].raw) << "sample " << i;
+    EXPECT_EQ(got[i].tmpl, want[i].tmpl) << "sample " << i;
+    EXPECT_EQ(got[i].denoised, want[i].denoised) << "sample " << i;
+    EXPECT_EQ(got[i].legal, want[i].legal) << "sample " << i;
+  }
+}
+
+// A generation round stacks the rows of every (template, mask) pair into
+// one inpaint call (run as several UNet forwards when it holds more rows
+// than one forward takes). Records and library must be bitwise what one
+// call per pair gives: inpaint draws one stream base per row, in row order.
+TEST(GenerationRounds, FusedRoundsEqualPerPairCalls) {
+  PatternPaintConfig cfg = mini_config();
+  cfg.ddpm.sample_steps = 4;
+  const std::vector<Raster> starters = mini_starters(2, 777);
+  PatternPaint pp(cfg, mini_rules(), /*seed=*/31);
+  pp.set_starters(starters);
+  PerPairReference ref(cfg, /*seed=*/31, starters);
+
+  expect_same_records(pp.initial_generation(/*variations_per_mask=*/2),
+                      ref.initial_generation(pp, 2));
+  for (int samples : {12, 7}) {
+    SCOPED_TRACE(samples);
+    expect_same_records(pp.iteration_round(samples),
+                        ref.iteration_round(pp, samples));
+  }
+  EXPECT_EQ(pp.library().clips(), ref.library().clips());
 }
 
 TEST_F(MiniPipeline, OutpaintGrowsToTargetAndPreservesSeed) {

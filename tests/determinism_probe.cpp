@@ -5,6 +5,7 @@
 // must never leak into generated patterns (per-sample RNG streams, ordered
 // merge). Any stdout difference is a determinism regression.
 //
+// A fused 24-sample iteration round adds a digest of its raw samples.
 // A second round pushes coalesced requests through the GenerationServer so
 // the serving layer's micro-batching is held to the same bar: batched
 // output must be a pure function of each request's seed, bitwise invariant
@@ -71,6 +72,15 @@ int main(int argc, char** argv) {
               pp.total_legal(), pp.library().size());
   for (const Raster& c : pp.library().clips())
     std::printf("%016" PRIx64 "\n", c.hash());
+
+  // Fused round: a 24-sample iteration round stacks every pair's rows into
+  // one inpaint call, which the sampler runs as several UNet forwards whose
+  // convs fan out over samples. The raw samples' digest must not depend on
+  // how the pool splits them.
+  std::uint64_t fused = 0;
+  for (const GenerationRecord& r : pp.iteration_round(24))
+    fused = (fused ^ r.raw.hash()) * 1099511628211ULL;
+  std::printf("fused round %016" PRIx64 "\n", fused);
 
   // Expansion round: grow a 32x32 seed to 64x48 twice — strictly
   // sequential (batch_limit 1) and whole-wave (batch_limit 0) execution.

@@ -491,6 +491,67 @@ TEST(Ddpm, StepApiMatchesMonolithicUnderAdversarialSchedules) {
   expect_rows(30, refC, 0);
 }
 
+TEST(Ddpm, WideMixedStepBatchMatchesSoloRuns) {
+  // A step over more rows than one UNet forward takes runs as several
+  // forwards. With two groups joined two steps apart on different
+  // schedules, the slices hold rows at different timesteps, and every
+  // sample must still be bitwise its solo monolithic run.
+  Rng init(68);
+  Ddpm model(tiny_ddpm(), init);
+  const int hw = 16, per_group = 10;
+  const std::size_t per = static_cast<std::size_t>(hw) * hw;
+  Raster m(hw, hw);
+  m.fill_rect(Rect{0, 0, hw / 2, hw}, 1);
+  const nn::Tensor mask1 = mask_to_tensor(m);
+  auto known_of = [&](int s) {
+    Raster r(hw, hw);
+    r.fill_rect(Rect{s % 12, 0, s % 12 + 3, hw}, 1);
+    return raster_to_tensor(r);
+  };
+  // A few training steps move the zero-initialized head, so the noise
+  // prediction (and each row's output) depends on its timestep.
+  nn::Adam opt(model.parameters(), 1e-2f);
+  const nn::Tensor x0 = rasters_to_tensor({Raster(hw, hw, 1), Raster(hw, hw)});
+  for (int i = 0; i < 3; ++i)
+    model.train_step(x0, nn::Tensor::full({2, 1, hw, hw}, 1.0f), opt, init);
+  const SamplerParams params[2] = {SamplerParams{}, SamplerParams{5, 1.0f}};
+
+  InpaintState st;
+  auto join_group = [&](int g) {
+    nn::Tensor known({per_group, 1, hw, hw}), mask({per_group, 1, hw, hw});
+    std::vector<std::uint64_t> bases, tags;
+    for (int i = 0; i < per_group; ++i) {
+      const int s = g * per_group + i;
+      std::copy_n(known_of(s).data(), per,
+                  known.data() + static_cast<std::size_t>(i) * per);
+      std::copy_n(mask1.data(), per,
+                  mask.data() + static_cast<std::size_t>(i) * per);
+      bases.push_back(500 + static_cast<std::uint64_t>(s));
+      tags.push_back(static_cast<std::uint64_t>(s));
+    }
+    model.join(st, known, mask, bases, tags, params[g]);
+  };
+  std::map<std::uint64_t, nn::Tensor> done;
+  auto run_step = [&] {
+    for (FinishedSample& f : model.step(st)) done.emplace(f.tag, std::move(f.x));
+  };
+  join_group(0);
+  run_step();
+  run_step();
+  join_group(1);
+  int guard = 0;
+  while (!st.empty() && ++guard < 64) run_step();
+  ASSERT_EQ(done.size(), static_cast<std::size_t>(2 * per_group));
+  for (int s = 0; s < 2 * per_group; ++s) {
+    nn::Tensor solo =
+        model.inpaint(known_of(s), mask1, {500 + static_cast<std::uint64_t>(s)},
+                      params[s / per_group]);
+    const nn::Tensor& got = done[static_cast<std::uint64_t>(s)];
+    for (std::size_t i = 0; i < per; ++i)
+      ASSERT_EQ(got[i], solo[i]) << "sample " << s << " pixel " << i;
+  }
+}
+
 namespace {
 
 /// Overwrites one byte of a file in place.

@@ -360,6 +360,79 @@ TEST_P(SimdBitExactTest, GemmRowsIndependentOfRowBlocking) {
   }
 }
 
+/// Runs conv2d_forward on each sample of x alone and stacks the results:
+/// the reference a batched call must equal bit for bit.
+Tensor conv_per_sample(const Tensor& x, const Tensor& w, const Tensor& b,
+                       int stride, int pad) {
+  const int N = x.dim(0);
+  const std::size_t in = x.numel() / static_cast<std::size_t>(N);
+  std::vector<Tensor> outs;
+  for (int n = 0; n < N; ++n) {
+    Tensor xn({1, x.dim(1), x.dim(2), x.dim(3)});
+    std::memcpy(xn.data(), x.data() + static_cast<std::size_t>(n) * in,
+                in * sizeof(float));
+    outs.push_back(conv2d_forward(xn, w, b, stride, pad, ConvAlgo::kGemm));
+  }
+  Tensor out({N, outs[0].dim(1), outs[0].dim(2), outs[0].dim(3)});
+  const std::size_t on = outs[0].numel();
+  for (int n = 0; n < N; ++n)
+    std::memcpy(out.data() + static_cast<std::size_t>(n) * on,
+                outs[static_cast<std::size_t>(n)].data(), on * sizeof(float));
+  return out;
+}
+
+struct ConvCase {
+  int ci, co, k, stride, pad;
+};
+// 3x3 padded, strided, and 1x1 pointwise (no im2col) GEMM convs.
+const ConvCase kConvCases[] = {{5, 7, 3, 1, 1}, {4, 6, 3, 2, 1}, {6, 9, 1, 1, 0}};
+
+// The conv fans out over samples, one group of samples per pool thread.
+// The same rows make the same bits whichever group a sample lands in and
+// whether its GEMM splits rows or runs inline, so a batch of 7 (groups of
+// uneven size on any pool width) must equal 7 single-sample calls.
+TEST_P(SimdBitExactTest, ConvBatchEqualsPerSampleCalls) {
+  for (const ConvCase& c : kConvCases) {
+    Tensor x = random_tensor({7, c.ci, 12, 12}, 2250 + c.ci);
+    Tensor w = random_tensor({c.co, c.ci, c.k, c.k}, 2260 + c.co);
+    Tensor b = random_tensor({c.co}, 2270 + c.co);
+    Tensor batched =
+        conv2d_forward(x, w, b, c.stride, c.pad, ConvAlgo::kGemm);
+    expect_bitwise(batched, conv_per_sample(x, w, b, c.stride, c.pad),
+                   "batched conv vs per-sample calls");
+  }
+}
+
+// A multi-sample conv unrolls im2col in bands of output rows. A band's GEMM
+// computes the same dot products over the same depth as one GEMM over the
+// whole plane, so the result must equal whole-plane im2col + sgemm_nn with
+// the fused bias+SiLU epilogue. (Bands only form when the pool has more
+// than one thread; on a serial pool both sides are whole-plane.)
+TEST_P(SimdBitExactTest, ConvBandsEqualWholePlaneGemm) {
+  for (int stride : {1, 2}) {
+    const int N = 3, Ci = 8, Co = 10, H = 64, K = 3, pad = 1;
+    const int Ho = (H + 2 * pad - K) / stride + 1, P = Ho * Ho, K2 = Ci * K * K;
+    Tensor x = random_tensor({N, Ci, H, H}, 2280 + stride);
+    Tensor w = random_tensor({Co, Ci, K, K}, 2282);
+    Tensor b = random_tensor({Co}, 2283);
+    Tensor got = conv2d_forward(x, w, b, stride, pad, ConvAlgo::kGemm,
+                                Act::kSilu);
+    Tensor ref({N, Co, Ho, Ho});
+    std::vector<float> col(static_cast<std::size_t>(K2) * P);
+    GemmEpilogue epi;
+    epi.bias = b.data();
+    epi.act = Act::kSilu;
+    for (int n = 0; n < N; ++n) {
+      im2col(x.data() + static_cast<std::size_t>(n) * Ci * H * H, Ci, H, H, K,
+             K, stride, pad, Ho, Ho, col.data());
+      sgemm_nn(Co, P, K2, w.data(), K2, col.data(), P,
+               ref.data() + static_cast<std::size_t>(n) * Co * P, P,
+               /*accumulate=*/false, &epi);
+    }
+    expect_bitwise(got, ref, "banded conv vs whole-plane GEMM");
+  }
+}
+
 // Elementwise kernels are value-pure: splitting a buffer at an arbitrary
 // offset (as eltwise_parallel does across threads) must not change any
 // element, even though the split shifts vector-lane assignments.
@@ -692,6 +765,25 @@ TEST_P(PrecisionForwardTest, ReducedTiersAreDeterministic) {
     Tensor a = conv2d_forward(x, w->value, b, 1, 1, ConvAlgo::kGemm);
     Tensor c = conv2d_forward(x, w->value, b, 1, 1, ConvAlgo::kGemm);
     expect_bitwise(a, c, precision_name(p));
+  }
+}
+
+// Reduced tiers keep the batch-split contract too: int8 quantizes each
+// sample with its own dynamic scale, so a sample's output does not depend
+// on its batch or on which pool thread ran it.
+TEST_P(PrecisionForwardTest, ReducedTiersBatchEqualsPerSampleCalls) {
+  for (const ConvCase& c : kConvCases) {
+    Tensor x = random_tensor({7, c.ci, 12, 12}, 7450 + c.ci);
+    Var w = make_param(random_tensor({c.co, c.ci, c.k, c.k}, 7460 + c.co));
+    Tensor b = random_tensor({c.co}, 7470 + c.co);
+    QuantizedModelWeights qmw({w});
+    for (Precision p : {Precision::kInt8, Precision::kBf16}) {
+      ScopedPrecision pin(p);
+      Tensor batched =
+          conv2d_forward(x, w->value, b, c.stride, c.pad, ConvAlgo::kGemm);
+      expect_bitwise(batched, conv_per_sample(x, w->value, b, c.stride, c.pad),
+                     precision_name(p));
+    }
   }
 }
 
